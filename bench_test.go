@@ -8,17 +8,28 @@ import (
 )
 
 // The benchmarks below are the regeneration harness: one per paper
-// table/figure. Each iteration regenerates the experiment at reduced
-// (Quick) sizes and reports the headline numbers as custom metrics, so
+// table/figure. Each iteration regenerates the experiment, uncached, at
+// reduced (Quick) sizes and reports the headline numbers as custom metrics, so
 // `go test -bench .` both exercises and summarizes the reproduction.
 // For paper-scale output use `go run ./cmd/bcetables -exp all`.
 
 func benchSizes() core.Sizes { return core.QuickSizes() }
 
+// uncached empties the process-wide timing-result cache with the timer
+// stopped, so every iteration simulates from scratch. Without it only
+// the first iteration of a table benchmark simulates anything and the
+// rest are cache hits.
+func uncached(b *testing.B) {
+	b.StopTimer()
+	core.ResetResultCache()
+	b.StartTimer()
+}
+
 // BenchmarkTable2 regenerates Table 2 (speculation waste per machine).
 func BenchmarkTable2(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		uncached(b)
 		t, err := core.Table2(benchSizes())
 		if err != nil {
 			b.Fatal(err)
@@ -34,6 +45,7 @@ func BenchmarkTable2(b *testing.B) {
 func BenchmarkTable3(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		uncached(b)
 		t, err := core.Table3(benchSizes())
 		if err != nil {
 			b.Fatal(err)
@@ -49,6 +61,7 @@ func BenchmarkTable3(b *testing.B) {
 func BenchmarkTable4(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		uncached(b)
 		t, err := core.Table4(benchSizes())
 		if err != nil {
 			b.Fatal(err)
@@ -65,6 +78,7 @@ func BenchmarkTable4(b *testing.B) {
 func BenchmarkTable5(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		uncached(b)
 		t, err := core.Table5(benchSizes())
 		if err != nil {
 			b.Fatal(err)
@@ -78,6 +92,7 @@ func BenchmarkTable5(b *testing.B) {
 func BenchmarkTable6(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		uncached(b)
 		t, err := core.Table6(benchSizes())
 		if err != nil {
 			b.Fatal(err)
@@ -92,6 +107,7 @@ func BenchmarkTable6(b *testing.B) {
 func BenchmarkFig4(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		uncached(b)
 		d, err := core.Density("gcc", "cic", benchSizes())
 		if err != nil {
 			b.Fatal(err)
@@ -105,6 +121,7 @@ func BenchmarkFig4(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		uncached(b)
 		d, err := core.Density("gcc", "tnt", benchSizes())
 		if err != nil {
 			b.Fatal(err)
@@ -118,6 +135,7 @@ func BenchmarkFig6(b *testing.B) {
 func BenchmarkFig8(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		uncached(b)
 		c, err := core.Combined(config.Baseline40x4(), benchSizes())
 		if err != nil {
 			b.Fatal(err)
@@ -131,6 +149,7 @@ func BenchmarkFig8(b *testing.B) {
 func BenchmarkFig9(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		uncached(b)
 		c, err := core.Combined(config.Wide20x8(), benchSizes())
 		if err != nil {
 			b.Fatal(err)
@@ -144,6 +163,7 @@ func BenchmarkFig9(b *testing.B) {
 func BenchmarkLatency(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		uncached(b)
 		l, err := core.Latency(benchSizes())
 		if err != nil {
 			b.Fatal(err)
@@ -168,6 +188,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 func BenchmarkAblateReversal(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		uncached(b)
 		a, err := core.AblateReversalSource(benchSizes())
 		if err != nil {
 			b.Fatal(err)
@@ -182,6 +203,7 @@ func BenchmarkAblateReversal(b *testing.B) {
 func BenchmarkAblateSignal(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		uncached(b)
 		a, err := core.AblateTrainingSignal(benchSizes())
 		if err != nil {
 			b.Fatal(err)
@@ -195,6 +217,7 @@ func BenchmarkAblateSignal(b *testing.B) {
 func BenchmarkVariability(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		uncached(b)
 		v, err := core.Variability(0, 1, benchSizes())
 		if err != nil {
 			b.Fatal(err)

@@ -1,0 +1,63 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"bce/internal/bench"
+	"bce/internal/prof"
+)
+
+// TestAttributeNamesRegressedSymbol drives the regression-attribution
+// path end to end without running a benchmark: two hand-built reports
+// reference CPU profiles stored in a temporary ring, the candidate's
+// profile spends four times as long in one perceptron kernel, and the
+// attribution table printed for the regressed suite must name that
+// kernel.
+func TestAttributeNamesRegressedSymbol(t *testing.T) {
+	ring, err := prof.OpenRing(t.TempDir(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const kernel = "bce/internal/perceptron.dotKernel"
+	put := func(kernelNs int64) string {
+		t.Helper()
+		p := &prof.Profile{
+			SampleTypes: []prof.ValueType{{Type: "cpu", Unit: "nanoseconds"}},
+			Samples: []prof.Sample{
+				{Stack: []prof.Frame{{Function: kernel}, {Function: "testing.(*B).runN"}}, Values: []int64{kernelNs}},
+				{Stack: []prof.Frame{{Function: "runtime.mallocgc"}, {Function: "testing.(*B).runN"}}, Values: []int64{5e6}},
+			},
+		}
+		data, err := p.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest, err := ring.Put(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return digest
+	}
+	report := func(nsPerOp float64, digest string) *bench.Report {
+		r := bench.NewReport()
+		r.Results = []bench.Result{{Suite: "kernel", Name: "Output32", NsPerOp: nsPerOp}}
+		r.Profiles = []bench.ProfileRef{{Suite: "kernel", Kind: "cpu", Digest: digest}}
+		return r
+	}
+	old, cand := report(4, put(10e6)), report(16, put(40e6))
+
+	bad := bench.Regressions(bench.Compare(old, cand), 10)
+	if len(bad) != 1 {
+		t.Fatalf("regressions = %+v, want the one kernel benchmark", bad)
+	}
+	var out bytes.Buffer
+	attribute(&out, bad, old, cand, ring, 10)
+	got := out.String()
+	for _, want := range []string{`attribution for suite "kernel"`, "profile delta", kernel} {
+		if !strings.Contains(got, want) {
+			t.Errorf("attribution output lacks %q:\n%s", want, got)
+		}
+	}
+}

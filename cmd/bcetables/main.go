@@ -381,7 +381,7 @@ func distribute(ctx context.Context, urls []string, exp, bench string, csv bool,
 		return err
 	}
 	log.Info("plan ready",
-		"jobs", len(plan.Jobs), "workers", len(urls), "stored", plan.Stored, "local_only", plan.Local)
+		"jobs", len(plan.Jobs), "workers", len(urls), "stored", plan.Stored)
 	if len(plan.Jobs) == 0 {
 		return nil
 	}

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -202,6 +204,39 @@ func TestValidateReport(t *testing.T) {
 		}
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestSuitePatternsNameExistingBenchmarks keeps the suites honest: every
+// benchmark a suite pattern names must exist in that suite's package,
+// so deleting a benchmark cannot leave a suite silently measuring less.
+func TestSuitePatternsNameExistingBenchmarks(t *testing.T) {
+	suites, err := Suites("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range suites {
+		names := strings.TrimSuffix(strings.TrimPrefix(s.Pattern, "^Benchmark("), ")$")
+		if names == s.Pattern {
+			t.Fatalf("suite %s: pattern %q is not ^Benchmark(A|B|...)$", s.Name, s.Pattern)
+		}
+		files, err := filepath.Glob(filepath.Join("..", "..", s.Pkg, "*_test.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("suite %s: no test files for %s (%v)", s.Name, s.Pkg, err)
+		}
+		var src strings.Builder
+		for _, f := range files {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src.Write(b)
+		}
+		for _, name := range strings.Split(names, "|") {
+			if !strings.Contains(src.String(), "func Benchmark"+name+"(b *testing.B)") {
+				t.Errorf("suite %s: Benchmark%s not found in %s", s.Name, name, s.Pkg)
+			}
 		}
 	}
 }

@@ -1,16 +1,16 @@
 package confidence
 
-// batch.go defines the optional batched estimator protocol. A cycle's
-// fetch group (or retire group) of conditional branches can be handed
-// to the estimator in one call instead of N; estimators backed by the
-// SIMD perceptron table then score or train every branch with a single
-// kernel crossing. The batched entry points are contracts of exact
-// equivalence: calling EstimateBatch/TrainBatch must leave the
-// estimator in the same state and produce the same tokens as the same
-// requests issued one at a time through Estimate/Train, in order.
+// batch.go keeps the declarations of a retired batched estimator
+// protocol. No estimator in this module implements BatchEstimator or
+// BatchTrainer, and the pipeline never looks for them: every estimate
+// and every training update goes through Estimator one branch at a
+// time. The declarations stay only because the benchmark harness under
+// benchmark/ type-asserts against them and is versioned separately
+// from the simulator.
 
-// TrainReq is one deferred Train call: the arguments Train would have
-// received for a retiring branch.
+// TrainReq is one Train call in request form: the arguments Train
+// would receive for a retiring branch. Declared for the benchmark
+// harness only; nothing in this module uses it.
 type TrainReq struct {
 	PC           uint64
 	Tok          Token
@@ -18,79 +18,20 @@ type TrainReq struct {
 	Taken        bool
 }
 
-// BatchEstimator is implemented by estimators that can classify a
-// group of same-cycle predictions in one call.
+// BatchEstimator would classify a group of same-cycle predictions in
+// one call, equivalent to toks[i] = Estimate(pcs[i], predTaken[i]) in
+// order. Declared for the benchmark harness only: it has no
+// implementer, and the pipeline never calls it.
 type BatchEstimator interface {
 	Estimator
-	// EstimateBatch is equivalent to toks[i] = Estimate(pcs[i],
-	// predTaken[i]) for each i in order. All three slices share a
-	// length. Because estimators only advance state in Train, the
-	// requests see identical history, exactly as sequential
-	// same-cycle Estimate calls would.
 	EstimateBatch(pcs []uint64, predTaken []bool, toks []Token)
 }
 
-// BatchTrainer is implemented by estimators that can absorb a group of
-// retirements in one call.
+// BatchTrainer would absorb a group of retirements in one call,
+// equivalent to Train(r.PC, r.Tok, r.Mispredicted, r.Taken) per request
+// in order. Declared for the benchmark harness only: it has no
+// implementer, and the pipeline never calls it.
 type BatchTrainer interface {
 	Estimator
-	// TrainBatch is equivalent to Train(r.PC, r.Tok, r.Mispredicted,
-	// r.Taken) for each request in order.
 	TrainBatch(reqs []TrainReq)
 }
-
-// EstimateBatch implements BatchEstimator: one table kernel call
-// scores the whole group against the current history, then each output
-// is banded exactly as Estimate bands it.
-func (c *PerceptronCIC) EstimateBatch(pcs []uint64, predTaken []bool, toks []Token) {
-	c.pb.Reset()
-	for _, pc := range pcs {
-		c.pb.Add(pc, c.ghr)
-	}
-	c.tbl.OutputBatch(&c.pb)
-	for i, y32 := range c.pb.Out[:len(pcs)] {
-		y := int(y32)
-		band := High
-		switch {
-		case y >= c.reversal:
-			band = StrongLow
-		case y >= c.lambda:
-			band = WeakLow
-		}
-		toks[i] = Token{Output: y, Band: band, Hist: c.ghr, PredTaken: predTaken[i]}
-	}
-}
-
-// TrainBatch implements BatchTrainer. The update-rule gate and the
-// history shift run per request in order, but the table updates they
-// admit accumulate into one kernel call. That call applies them in
-// request order against each request's own history snapshot — the same
-// weights sequential Train calls would write, because Train reads only
-// the snapshot (tok.Hist), never the live history register.
-func (c *PerceptronCIC) TrainBatch(reqs []TrainReq) {
-	c.pb.Reset()
-	for i := range reqs {
-		r := &reqs[i]
-		p := -1
-		if r.Mispredicted {
-			p = 1
-		}
-		wrongClass := r.Tok.Band.Low() != r.Mispredicted
-		if wrongClass || abs(r.Tok.Output) <= c.trainT {
-			c.pb.AddTrain(r.PC, r.Tok.Hist, p)
-		}
-		c.ghr <<= 1
-		if r.Taken {
-			c.ghr |= 1
-		}
-	}
-	if c.hlen < 64 {
-		c.ghr &= (1 << uint(c.hlen)) - 1
-	}
-	c.tbl.TrainBatch(&c.pb)
-}
-
-var (
-	_ BatchEstimator = (*PerceptronCIC)(nil)
-	_ BatchTrainer   = (*PerceptronCIC)(nil)
-)

@@ -26,9 +26,6 @@ type PerceptronCIC struct {
 	lambda   int
 	reversal int
 	trainT   int
-	// pb is the reusable request block behind EstimateBatch/TrainBatch
-	// (batch.go); owning it here keeps the batched paths allocation-free.
-	pb perceptron.Batch
 }
 
 // CICConfig parameterizes a PerceptronCIC.

@@ -3,17 +3,20 @@ package confidence
 import "fmt"
 
 // Spec is a declarative, JSON-serializable estimator description: the
-// wire-expressible counterpart of the constructor closures the
-// experiment sweeps traditionally carry. A Spec travels inside
-// distributed job batches (internal/dist), so it must round-trip
-// through JSON without losing any knob that changes simulated
-// behaviour — exactly the knobs Name() encodes into cache keys.
+// one way a timing simulation names its confidence estimator. A Spec
+// travels inside distributed job batches (internal/dist), so it must
+// round-trip through JSON without losing any knob that changes
+// simulated behaviour — exactly the knobs Name() encodes into cache
+// keys.
 //
-// Exactly one of the config pointers matching Kind must be set (none
-// for KindNone). Use the Spec* constructors rather than building the
-// struct by hand.
+// A leaf kind carries exactly the config pointer matching Kind (none
+// for KindNone). A wrapper kind (KindPromoteLow, KindDemoteStrong)
+// carries only Inner, which must be a leaf estimator, so a decoded Spec
+// is at most two levels deep. Use the Spec* constructors rather than
+// building the struct by hand.
 type Spec struct {
-	// Kind selects the estimator family: "none", "jrs", "cic", "tnt".
+	// Kind selects the estimator: "none", "jrs", "cic", "tnt", or a
+	// band-remapping wrapper, "promote-low" or "demote-strong".
 	Kind string `json:"kind"`
 	// JRS, CIC and TNT carry the family's full configuration. The
 	// config structs already default zero fields in their constructors;
@@ -24,6 +27,8 @@ type Spec struct {
 	JRS *JRSConfig `json:"jrs,omitempty"`
 	CIC *CICConfig `json:"cic,omitempty"`
 	TNT *TNTConfig `json:"tnt,omitempty"`
+	// Inner is the estimator a wrapper kind remaps the bands of.
+	Inner *Spec `json:"inner,omitempty"`
 }
 
 // Spec kinds.
@@ -32,6 +37,11 @@ const (
 	KindJRS  = "jrs"
 	KindCIC  = "cic"
 	KindTNT  = "tnt"
+
+	// KindPromoteLow wraps Inner in PromoteLow.
+	KindPromoteLow = "promote-low"
+	// KindDemoteStrong wraps Inner in DemoteStrong.
+	KindDemoteStrong = "demote-strong"
 )
 
 // SpecNone describes "no estimator" (the ungated baseline runs).
@@ -64,12 +74,34 @@ func SpecTNT(lambda int) *Spec {
 // SpecTNTWith describes a fully configured TNT estimator (NewTNTWith).
 func SpecTNTWith(cfg TNTConfig) *Spec { return &Spec{Kind: KindTNT, TNT: &cfg} }
 
+// SpecPromoteLow describes PromoteLow{Inner: inner}: every low
+// estimate of inner becomes StrongLow.
+func SpecPromoteLow(inner *Spec) *Spec { return &Spec{Kind: KindPromoteLow, Inner: inner} }
+
+// SpecDemoteStrong describes DemoteStrong{Inner: inner}: every
+// StrongLow estimate of inner becomes WeakLow.
+func SpecDemoteStrong(inner *Spec) *Spec { return &Spec{Kind: KindDemoteStrong, Inner: inner} }
+
 // Validate checks that the Spec is internally consistent: a known
-// kind, the matching config present, and the others absent. A nil Spec
-// is valid and means "no estimator".
+// kind, the matching config present, and the others absent. A wrapper
+// kind must carry a leaf estimator as Inner and nothing else, which
+// bounds the depth of any Spec that passes. A nil Spec is valid and
+// means "no estimator".
 func (s *Spec) Validate() error {
 	if s == nil {
 		return nil
+	}
+	if s.Kind == KindPromoteLow || s.Kind == KindDemoteStrong {
+		if s.Inner == nil || s.JRS != nil || s.CIC != nil || s.TNT != nil {
+			return fmt.Errorf("confidence: spec kind %q needs exactly the inner spec", s.Kind)
+		}
+		if k := s.Inner.Kind; k != KindJRS && k != KindCIC && k != KindTNT {
+			return fmt.Errorf("confidence: spec kind %q needs a jrs, cic or tnt inner spec, got %q", s.Kind, k)
+		}
+		return s.Inner.Validate()
+	}
+	if s.Inner != nil {
+		return fmt.Errorf("confidence: spec kind %q must carry no inner spec", s.Kind)
 	}
 	set := 0
 	for _, p := range []bool{s.JRS != nil, s.CIC != nil, s.TNT != nil} {
@@ -152,12 +184,21 @@ func (s *Spec) Build() (Estimator, error) {
 	if s == nil || s.Kind == KindNone {
 		return nil, nil
 	}
+	return s.build(), nil
+}
+
+// build constructs a validated, non-none Spec's estimator.
+func (s *Spec) build() Estimator {
 	switch s.Kind {
+	case KindPromoteLow:
+		return PromoteLow{Inner: s.Inner.build()}
+	case KindDemoteStrong:
+		return DemoteStrong{Inner: s.Inner.build()}
 	case KindJRS:
-		return NewJRS(*s.JRS), nil
+		return NewJRS(*s.JRS)
 	case KindCIC:
-		return NewCICWith(*s.CIC), nil
+		return NewCICWith(*s.CIC)
 	default: // KindTNT; Validate rejected everything else
-		return NewTNTWith(*s.TNT), nil
+		return NewTNTWith(*s.TNT)
 	}
 }

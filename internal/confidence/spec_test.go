@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// TestSpecMatchesClosureConstructors pins the property distribution
-// depends on: a Spec and the traditional constructor call it describes
-// build estimators with identical Name()s — and Name() is what cache
-// keys hash, so spec-built and closure-built jobs share keys.
+// TestSpecMatchesClosureConstructors pins the property the result cache
+// depends on: a Spec and the constructor call it describes build
+// estimators with identical Name()s — and Name() is what cache keys
+// hash, so describing a sweep's estimators by Spec keeps the keys its
+// constructor-built form filed results under.
 func TestSpecMatchesClosureConstructors(t *testing.T) {
 	cases := []struct {
 		label string
@@ -24,6 +25,10 @@ func TestSpecMatchesClosureConstructors(t *testing.T) {
 			NewCICWith(CICConfig{Entries: 2048, HistoryLen: 20, Lambda: 10, Reversal: 50})},
 		{"tnt-default", SpecTNT(75), NewTNT(75)},
 		{"tnt-custom", SpecTNTWith(TNTConfig{Entries: 1024, Lambda: 30}), NewTNTWith(TNTConfig{Entries: 1024, Lambda: 30})},
+		{"promote-low-jrs", SpecPromoteLow(SpecJRS(15)), PromoteLow{Inner: NewEnhancedJRS(15)}},
+		{"promote-low-tnt", SpecPromoteLow(SpecTNT(75)), PromoteLow{Inner: NewTNT(75)}},
+		{"demote-strong-cic", SpecDemoteStrong(SpecCICWith(CICConfig{Lambda: -75, Reversal: 50})),
+			DemoteStrong{Inner: NewCICWith(CICConfig{Lambda: -75, Reversal: 50})}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.label, func(t *testing.T) {
@@ -32,7 +37,7 @@ func TestSpecMatchesClosureConstructors(t *testing.T) {
 				t.Fatalf("Build: %v", err)
 			}
 			if got, want := est.Name(), tc.want.Name(); got != want {
-				t.Errorf("spec-built name %q != closure-built name %q", got, want)
+				t.Errorf("spec-built name %q != constructor-built name %q", got, want)
 			}
 		})
 	}
@@ -58,6 +63,8 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		SpecCICWith(CICConfig{Entries: 4096, HistoryLen: 34, WeightBits: 8, Lambda: -75, Reversal: 50, TrainThreshold: 75}),
 		SpecTNT(75),
 		SpecNone(),
+		SpecPromoteLow(SpecJRSWith(JRSConfig{Entries: 512, Lambda: 3})),
+		SpecDemoteStrong(SpecCICWith(CICConfig{Lambda: -75, Reversal: 50})),
 	} {
 		data, err := json.Marshal(spec)
 		if err != nil {
@@ -106,6 +113,13 @@ func TestSpecValidateRejects(t *testing.T) {
 		{"jrs counter bits", SpecJRSWith(JRSConfig{CounterBits: 9}), "counter bits"},
 		{"jrs lambda negative", SpecJRSWith(JRSConfig{Lambda: -2}), "lambda"},
 		{"jrs lambda over counter range", SpecJRSWith(JRSConfig{CounterBits: 2, Lambda: 4}), "lambda"},
+		{"wrapper missing inner", &Spec{Kind: KindPromoteLow}, "needs exactly the inner"},
+		{"wrapper with config", &Spec{Kind: KindDemoteStrong, Inner: SpecCIC(0), CIC: &CICConfig{}}, "needs exactly the inner"},
+		{"wrapper of none", SpecDemoteStrong(SpecNone()), "inner spec"},
+		{"nested wrappers", SpecPromoteLow(SpecDemoteStrong(SpecCIC(0))), "inner spec"},
+		{"wrapper of invalid leaf", SpecPromoteLow(SpecTNTWith(TNTConfig{HistoryLen: 65})), "history"},
+		{"leaf with inner", &Spec{Kind: KindCIC, CIC: &CICConfig{}, Inner: SpecCIC(0)}, "no inner"},
+		{"none with inner", &Spec{Kind: KindNone, Inner: SpecCIC(0)}, "no inner"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.label, func(t *testing.T) {

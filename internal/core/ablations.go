@@ -90,10 +90,8 @@ func AblateReversalSource(sz Sizes) (*AblationResult, error) {
 			Of: func(bench string) TimingSpec {
 				return TimingSpec{
 					Bench: bench, Machine: config.Baseline40x4(),
-					Estimator: func() confidence.Estimator {
-						return confidence.NewCICWith(confidence.CICConfig{Lambda: -75, Reversal: 50})
-					},
-					Gating: gating.PL(2), Reversal: true,
+					EstSpec: confidence.SpecCICWith(confidence.CICConfig{Lambda: -75, Reversal: 50}),
+					Gating:  gating.PL(2), Reversal: true,
 				}
 			},
 		},
@@ -102,9 +100,7 @@ func AblateReversalSource(sz Sizes) (*AblationResult, error) {
 			Of: func(bench string) TimingSpec {
 				return TimingSpec{
 					Bench: bench, Machine: config.Baseline40x4(),
-					Estimator: func() confidence.Estimator {
-						return confidence.PromoteLow{Inner: confidence.NewEnhancedJRS(15)}
-					},
+					EstSpec:  confidence.SpecPromoteLow(confidence.SpecJRS(15)),
 					Reversal: true,
 				}
 			},
@@ -114,9 +110,7 @@ func AblateReversalSource(sz Sizes) (*AblationResult, error) {
 			Of: func(bench string) TimingSpec {
 				return TimingSpec{
 					Bench: bench, Machine: config.Baseline40x4(),
-					Estimator: func() confidence.Estimator {
-						return confidence.PromoteLow{Inner: confidence.NewTNT(75)}
-					},
+					EstSpec:  confidence.SpecPromoteLow(confidence.SpecTNT(75)),
 					Reversal: true,
 				}
 			},
@@ -126,10 +120,8 @@ func AblateReversalSource(sz Sizes) (*AblationResult, error) {
 			Of: func(bench string) TimingSpec {
 				return TimingSpec{
 					Bench: bench, Machine: config.Baseline40x4(),
-					Estimator: func() confidence.Estimator {
-						return confidence.DemoteStrong{Inner: confidence.NewCICWith(
-							confidence.CICConfig{Lambda: -75, Reversal: 50})}
-					},
+					EstSpec: confidence.SpecDemoteStrong(confidence.SpecCICWith(
+						confidence.CICConfig{Lambda: -75, Reversal: 50})),
 					Gating: gating.PL(2),
 				}
 			},
@@ -165,8 +157,8 @@ func AblateTrainingSite(sz Sizes) (*AblationResult, error) {
 		for i, spec := range []bool{false, true} {
 			s := TimingSpec{
 				Bench: bench, Machine: config.Baseline40x4(),
-				Estimator: func() confidence.Estimator { return confidence.NewCIC(0) },
-				Gating:    gating.PL(1),
+				EstSpec: confidence.SpecCIC(0),
+				Gating:  gating.PL(1),
 			}
 			r, err := runTimingSpecTrain(ctx, s, sz, spec)
 			if err != nil {
@@ -275,8 +267,8 @@ func Variability(lambda, pl int, sz Sizes) (*VariabilityReport, error) {
 		}
 		r, err := runTiming(ctx, TimingSpec{
 			Bench: bench, Machine: config.Baseline40x4(),
-			Estimator: func() confidence.Estimator { return confidence.NewCIC(lambda) },
-			Gating:    gating.PL(pl),
+			EstSpec: confidence.SpecCIC(lambda),
+			Gating:  gating.PL(pl),
 		}, sz)
 		if err != nil {
 			return [2]float64{}, err

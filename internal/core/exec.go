@@ -300,8 +300,7 @@ func dirStoreOrNil() runner.Store {
 // cache key. The estimator is identified by constructing one instance
 // and taking its Name(), which encodes geometry and thresholds;
 // estimator constructors are cheap next to a timing simulation. mkEst
-// is the resolved factory from TimingSpec.makeEstimator, so a
-// declarative spec and the equivalent closure produce the same key.
+// is the resolved factory from TimingSpec.makeEstimator.
 func timingKey(spec TimingSpec, mkEst func() confidence.Estimator, sz Sizes, speculativeTrain bool) string {
 	est := "none"
 	if mkEst != nil {

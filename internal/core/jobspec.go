@@ -2,11 +2,11 @@ package core
 
 // jobspec.go defines the serializable form of a timing simulation: the
 // job type the distributed sweep layer (internal/dist) ships to worker
-// processes. A JobSpec is a declarative TimingSpec — the estimator is
-// a confidence.Spec instead of a constructor closure — plus the run
-// sizes, so Key() reproduces exactly the content-addressed cache key
-// the in-process path uses. Byte-identity of distributed sweeps rests
-// on that equality: a worker files its result under the same key the
+// processes. A JobSpec is a TimingSpec in plain data — the machine
+// embedded, the predictor named — plus the run sizes, so Key()
+// reproduces exactly the content-addressed cache key the in-process
+// path uses. Byte-identity of distributed sweeps rests on that
+// equality: a worker files its result under the same key the
 // coordinator's final aggregation pass looks up.
 
 import (
@@ -76,13 +76,8 @@ func predictorKindFromString(s string) (PredictorKind, error) {
 	return 0, fmt.Errorf("core: unknown predictor kind %q", s)
 }
 
-// jobSpecOf converts an in-process timing job to wire form. The second
-// return is false when the job is not wire-expressible — its estimator
-// exists only as a closure — and must run locally.
-func jobSpecOf(spec TimingSpec, sz Sizes, speculativeTrain bool) (JobSpec, bool) {
-	if spec.Estimator != nil && spec.EstSpec == nil {
-		return JobSpec{}, false
-	}
+// jobSpecOf converts an in-process timing job to wire form.
+func jobSpecOf(spec TimingSpec, sz Sizes, speculativeTrain bool) JobSpec {
 	return JobSpec{
 		Bench:            spec.Bench,
 		Machine:          spec.Machine,
@@ -98,7 +93,7 @@ func jobSpecOf(spec TimingSpec, sz Sizes, speculativeTrain bool) (JobSpec, bool)
 			Measure:  sz.Measure,
 			Segments: sz.segments(),
 		},
-	}, true
+	}
 }
 
 // Validate rejects a JobSpec that could not have come from a real

@@ -11,14 +11,11 @@ package core
 // pass visits exactly the jobs a real pass would execute, in seconds
 // instead of minutes.
 //
-// The recorded set deliberately excludes two classes of work:
-//
-//   - jobs whose results are already on hand (in-memory cache,
-//     checkpoint journal, or on-disk store) — a resumed coordinator
-//     must not re-dispatch finished simulations;
-//   - jobs that are not wire-expressible (closure-built estimators,
-//     used by some ablations) — these run locally during the final
-//     aggregation pass, exactly as before.
+// Every timing job is wire-expressible (TimingSpec names its estimator
+// by confidence.Spec), so the recorded set is every distinct timing job
+// except those whose results are already on hand (in-memory cache,
+// checkpoint journal, or on-disk store): a resumed coordinator must not
+// re-dispatch finished simulations.
 //
 // Functional (confidence-only) runs are also skipped during recording:
 // they are orders of magnitude cheaper than timing runs and are not
@@ -42,9 +39,6 @@ type Plan struct {
 	// Stored counts distinct jobs skipped because a result was already
 	// cached, journaled, or stored on disk.
 	Stored int
-	// Local counts distinct jobs that cannot be expressed in wire form
-	// and will run in-process during the aggregation pass.
-	Local int
 }
 
 // planState is the process-wide recorder. planning is read on the hot
@@ -58,7 +52,6 @@ var planState struct {
 	jobs     []JobSpec
 	keys     []string
 	stored   int
-	local    int
 }
 
 // planRecording reports whether a CollectJobs pass is active.
@@ -76,12 +69,7 @@ func planRecord(spec TimingSpec, sz Sizes, speculativeTrain bool, key string) {
 		planState.stored++
 		return
 	}
-	js, ok := jobSpecOf(spec, sz, speculativeTrain)
-	if !ok {
-		planState.local++
-		return
-	}
-	planState.jobs = append(planState.jobs, js)
+	planState.jobs = append(planState.jobs, jobSpecOf(spec, sz, speculativeTrain))
 	planState.keys = append(planState.keys, key)
 }
 
@@ -99,7 +87,7 @@ func CollectJobs(fn func() error) (*Plan, error) {
 	planState.mu.Lock()
 	planState.seen = make(map[string]struct{})
 	planState.jobs, planState.keys = nil, nil
-	planState.stored, planState.local = 0, 0
+	planState.stored = 0
 	planState.mu.Unlock()
 
 	err := fn()
@@ -110,7 +98,6 @@ func CollectJobs(fn func() error) (*Plan, error) {
 		Jobs:   planState.jobs,
 		Keys:   planState.keys,
 		Stored: planState.stored,
-		Local:  planState.local,
 	}
 	planState.seen, planState.jobs, planState.keys = nil, nil, nil
 	planState.mu.Unlock()

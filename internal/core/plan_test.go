@@ -11,13 +11,14 @@ import (
 	"bce/internal/config"
 	"bce/internal/gating"
 	"bce/internal/metrics"
+	"bce/internal/workload"
 )
 
 // plan_test.go pins the contracts distributed execution rests on:
 // JobSpec.Key() must equal the in-process timing key for the same
 // configuration (otherwise remote results never merge), and
 // CollectJobs must enumerate the job space deterministically while
-// excluding stored results and closure-only jobs.
+// excluding stored results.
 
 // TestJobSpecKeyMatchesTimingKey is the byte-identity cornerstone: for
 // every wire-expressible configuration, the key a worker derives from
@@ -59,11 +60,7 @@ func TestJobSpecKeyMatchesTimingKey(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.label, func(t *testing.T) {
-			js, ok := jobSpecOf(tc.spec, tc.sz, tc.train)
-			if !ok {
-				t.Fatal("configuration unexpectedly not wire-expressible")
-			}
-			wireKey, err := js.Key()
+			wireKey, err := jobSpecOf(tc.spec, tc.sz, tc.train).Key()
 			if err != nil {
 				t.Fatalf("JobSpec.Key: %v", err)
 			}
@@ -79,26 +76,36 @@ func TestJobSpecKeyMatchesTimingKey(t *testing.T) {
 	}
 }
 
-// TestJobSpecOfClosureFallback: a closure-built estimator has no wire
-// form, so jobSpecOf must decline; when a declarative spec is also
-// present it wins and the job ships.
+// TestJobSpecOfClosureFallback: the band-remapping wrappers that once
+// had only a closure form, and so fell back to in-process execution,
+// are now described by confidence.Spec. jobSpecOf must carry the
+// wrapper across unchanged, the result must validate, and its key must
+// equal the in-process key for the same configuration.
 func TestJobSpecOfClosureFallback(t *testing.T) {
 	sz := Sizes{Warmup: 1000, Measure: 3000, Segments: 1}
-	closureOnly := TimingSpec{
-		Bench: "gzip", Machine: config.Baseline40x4(),
-		Estimator: func() confidence.Estimator { return confidence.NewCIC(0) },
-	}
-	if _, ok := jobSpecOf(closureOnly, sz, false); ok {
-		t.Error("closure-only estimator reported wire-expressible")
-	}
-	both := closureOnly
-	both.EstSpec = confidence.SpecCIC(0)
-	js, ok := jobSpecOf(both, sz, false)
-	if !ok {
-		t.Fatal("spec+closure configuration must be wire-expressible")
-	}
-	if _, err := js.Key(); err != nil {
-		t.Errorf("Key: %v", err)
+	for _, est := range []*confidence.Spec{
+		confidence.SpecPromoteLow(confidence.SpecJRS(15)),
+		confidence.SpecDemoteStrong(confidence.SpecCIC(0)),
+	} {
+		spec := TimingSpec{Bench: "gzip", Machine: config.Baseline40x4(), EstSpec: est, Reversal: true}
+		js := jobSpecOf(spec, sz, false)
+		if !reflect.DeepEqual(js.Estimator, est) {
+			t.Errorf("%s: wire estimator %+v, want %+v", est.Kind, js.Estimator, est)
+		}
+		if err := js.Validate(); err != nil {
+			t.Errorf("%s: Validate: %v", est.Kind, err)
+		}
+		wireKey, err := js.Key()
+		if err != nil {
+			t.Fatalf("%s: Key: %v", est.Kind, err)
+		}
+		mkEst, err := spec.makeEstimator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if localKey := timingKey(spec, mkEst, sz, false); wireKey != localKey {
+			t.Errorf("%s: wire key %q != in-process key %q", est.Kind, wireKey, localKey)
+		}
 	}
 }
 
@@ -244,36 +251,79 @@ func TestCollectJobsExcludesStored(t *testing.T) {
 	}
 }
 
-// TestCollectJobsCountsLocal: closure-only estimators cannot ship, so
-// the planner must divert them to the Local count instead of the job
-// list.
-func TestCollectJobsCountsLocal(t *testing.T) {
+// TestCollectJobsPlansAblateReversalSource: every timing job names its
+// estimator by confidence.Spec, the band-remapping wrappers included,
+// so planning a whole ablation sweep dispatches every distinct uncached
+// job — the baseline plus four variants per benchmark — and each
+// planned job re-derives the key it was filed under.
+func TestCollectJobsPlansAblateReversalSource(t *testing.T) {
 	ResetResultCache()
 	defer ResetResultCache()
 	plan, err := CollectJobs(func() error {
-		sz := Sizes{Warmup: 1000, Measure: 3000, Segments: 1}
-		local := TimingSpec{
-			Bench: "gzip", Machine: config.Baseline40x4(),
-			Estimator: func() confidence.Estimator { return confidence.NewCIC(0) },
-		}
-		if _, err := runTiming(context.Background(), local, sz); err != nil {
-			return err
-		}
-		wire := TimingSpec{
-			Bench: "gzip", Machine: config.Baseline40x4(),
-			EstSpec: confidence.SpecCIC(25),
-		}
-		_, err := runTiming(context.Background(), wire, sz)
+		_, err := AblateReversalSource(Sizes{Warmup: 1000, Measure: 3000})
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Local != 1 {
-		t.Errorf("Local = %d, want 1", plan.Local)
+	if want := 5 * len(workload.Names()); len(plan.Jobs) != want || plan.Stored != 0 {
+		t.Fatalf("plan has %d jobs, %d stored; want %d, 0", len(plan.Jobs), plan.Stored, want)
 	}
-	if len(plan.Jobs) != 1 {
-		t.Errorf("plan has %d wire jobs, want 1", len(plan.Jobs))
+	wrappers := 0
+	for i, j := range plan.Jobs {
+		key, err := j.Key()
+		if err != nil {
+			t.Fatalf("job %d: Key: %v", i, err)
+		}
+		if key != plan.Keys[i] {
+			t.Errorf("job %d: key %q, planned under %q", i, key, plan.Keys[i])
+		}
+		if j.Estimator != nil && j.Estimator.Inner != nil {
+			wrappers++
+		}
+	}
+	if want := 3 * len(workload.Names()); wrappers != want {
+		t.Errorf("plan has %d wrapper-estimator jobs, want %d", wrappers, want)
+	}
+}
+
+// TestCollectJobsCountsLocal: no timing job is left to run locally any
+// more. A sweep that mixes a wrapper estimator (formerly closure-only,
+// counted local and kept off the job list) with a plain one must put
+// both on the job list.
+func TestCollectJobsCountsLocal(t *testing.T) {
+	ResetResultCache()
+	defer ResetResultCache()
+	plan, err := CollectJobs(func() error {
+		sz := Sizes{Warmup: 1000, Measure: 3000, Segments: 1}
+		wrapped := TimingSpec{
+			Bench: "gzip", Machine: config.Baseline40x4(),
+			EstSpec: confidence.SpecDemoteStrong(confidence.SpecCIC(0)),
+		}
+		if _, err := runTiming(context.Background(), wrapped, sz); err != nil {
+			return err
+		}
+		plain := TimingSpec{
+			Bench: "gzip", Machine: config.Baseline40x4(),
+			EstSpec: confidence.SpecCIC(25),
+		}
+		_, err := runTiming(context.Background(), plain, sz)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Jobs) != 2 {
+		t.Fatalf("plan has %d wire jobs, want 2", len(plan.Jobs))
+	}
+	wrappers := 0
+	for _, j := range plan.Jobs {
+		if j.Estimator != nil && j.Estimator.Kind == confidence.KindDemoteStrong {
+			wrappers++
+		}
+	}
+	if wrappers != 1 {
+		t.Errorf("plan has %d demote-strong jobs, want 1", wrappers)
 	}
 }
 

@@ -43,8 +43,8 @@ func sweepResults(t *testing.T, workers int, sz Sizes) []byte {
 		}
 		gated, err := runTiming(ctx, TimingSpec{
 			Bench: bench, Machine: config.Baseline40x4(),
-			Estimator: func() confidence.Estimator { return confidence.NewCIC(0) },
-			Gating:    gating.PL(1),
+			EstSpec: confidence.SpecCIC(0),
+			Gating:  gating.PL(1),
 		}, sz)
 		if err != nil {
 			return [2]metrics.Run{}, err
@@ -133,11 +133,9 @@ func TestDistinctTrainThresholdsDistinctKeys(t *testing.T) {
 	keyFor := func(T int) string {
 		spec := TimingSpec{
 			Bench: "gzip", Machine: config.Baseline40x4(),
-			Estimator: func() confidence.Estimator {
-				return confidence.NewCICWith(confidence.CICConfig{
-					Lambda: 0, Reversal: confidence.DisableReversal, TrainThreshold: T,
-				})
-			},
+			EstSpec: confidence.SpecCICWith(confidence.CICConfig{
+				Lambda: 0, Reversal: confidence.DisableReversal, TrainThreshold: T,
+			}),
 		}
 		mkEst, err := spec.makeEstimator()
 		if err != nil {

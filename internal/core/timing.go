@@ -83,43 +83,36 @@ type TimingSpec struct {
 	Bench     string
 	Machine   config.Machine
 	Predictor PredictorKind
-	// EstSpec declaratively describes the confidence estimator. It is
-	// the preferred form: a spec is JSON-serializable, so the job can
-	// cross a process boundary (internal/dist ships sweeps to remote
-	// workers). Nil with a nil Estimator means no estimator.
-	EstSpec *confidence.Spec
-	// Estimator builds the confidence estimator (nil = none). A
-	// closure-built estimator cannot be distributed; prefer EstSpec.
-	// When both are set, EstSpec wins.
-	Estimator func() confidence.Estimator
-	Gating    gating.Policy
-	Reversal  bool
-	Perfect   bool
+	// EstSpec declaratively describes the confidence estimator (nil or
+	// kind "none" = no estimator). A spec is JSON-serializable, so every
+	// job can cross a process boundary (internal/dist ships sweeps to
+	// remote workers).
+	EstSpec  *confidence.Spec
+	Gating   gating.Policy
+	Reversal bool
+	Perfect  bool
 }
 
-// makeEstimator resolves the spec's estimator factory: the declarative
-// EstSpec when present, else the Estimator closure, else none. An
-// invalid EstSpec fails here, before any simulation runs.
+// makeEstimator resolves EstSpec into an estimator factory, nil for no
+// estimator. An invalid EstSpec fails here, before any simulation
+// runs.
 func (s TimingSpec) makeEstimator() (func() confidence.Estimator, error) {
-	if s.EstSpec != nil {
-		if _, err := s.EstSpec.Build(); err != nil {
-			return nil, err
-		}
-		if s.EstSpec.Kind == confidence.KindNone {
-			return nil, nil
-		}
-		spec := s.EstSpec
-		return func() confidence.Estimator {
-			est, err := spec.Build()
-			if err != nil {
-				// Unreachable: the spec validated above and Build is
-				// deterministic.
-				panic(err)
-			}
-			return est
-		}, nil
+	if _, err := s.EstSpec.Build(); err != nil {
+		return nil, err
 	}
-	return s.Estimator, nil
+	if s.EstSpec == nil || s.EstSpec.Kind == confidence.KindNone {
+		return nil, nil
+	}
+	spec := s.EstSpec
+	return func() confidence.Estimator {
+		est, err := spec.Build()
+		if err != nil {
+			// Unreachable: the spec validated above and Build is
+			// deterministic.
+			panic(err)
+		}
+		return est
+	}, nil
 }
 
 // runTiming executes one spec and returns the measured-span counters.

@@ -2,6 +2,8 @@ package dist
 
 import (
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -190,5 +192,85 @@ func TestOversizeMessageRejected(t *testing.T) {
 	}
 	if _, err := DecodeBatch(huge); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Errorf("oversize message: err = %v, want byte-cap error", err)
+	}
+}
+
+// TestBatchRoundTripWrapperSpecs: the band-remapping wrapper kinds
+// cross the wire intact, so jobs that use them re-derive their keys on
+// the worker.
+func TestBatchRoundTripWrapperSpecs(t *testing.T) {
+	b := sampleBatch()
+	for i, est := range []*confidence.Spec{
+		confidence.SpecPromoteLow(confidence.SpecJRS(15)),
+		confidence.SpecDemoteStrong(confidence.SpecCICWith(confidence.CICConfig{Lambda: -75, Reversal: 50})),
+	} {
+		b.Jobs[i].Spec.Estimator = est
+		key, err := b.Jobs[i].Spec.Key()
+		if err != nil {
+			t.Fatalf("job %d: Key: %v", i, err)
+		}
+		b.Jobs[i].Key = key
+	}
+	data, err := EncodeBatch(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeBatch(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range got.Jobs {
+		rekey, err := j.Spec.Key()
+		if err != nil {
+			t.Fatalf("job %d: re-derive key: %v", i, err)
+		}
+		if rekey != b.Jobs[i].Key {
+			t.Errorf("job %d: key drifted across the wire: %q -> %q", i, b.Jobs[i].Key, rekey)
+		}
+	}
+}
+
+// TestWorkerRejectsHostileWrapperSpecs: DecodeBatch leaves job specs to
+// the worker, which must fail a malformed wrapper spec as a
+// deterministic job error, never build it.
+func TestWorkerRejectsHostileWrapperSpecs(t *testing.T) {
+	srv := httptest.NewServer(NewWorker(WorkerOptions{Exec: stubExec}).Handler())
+	defer srv.Close()
+	for _, tc := range []struct {
+		name string
+		est  *confidence.Spec
+		want string
+	}{
+		{"nested wrappers", confidence.SpecPromoteLow(confidence.SpecDemoteStrong(confidence.SpecCIC(0))), "inner spec"},
+		{"missing inner", &confidence.Spec{Kind: confidence.KindDemoteStrong}, "needs exactly the inner"},
+		{"inner none", confidence.SpecPromoteLow(confidence.SpecNone()), "inner spec"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := sampleBatch()
+			b.Jobs = b.Jobs[:1]
+			b.Jobs[0].Spec.Estimator = tc.est
+			data, err := EncodeBatch(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := DecodeBatch(data)
+			if err != nil {
+				t.Fatalf("DecodeBatch: %v", err)
+			}
+			if _, err := got.Jobs[0].Spec.Key(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Key = %v, want error containing %q", err, tc.want)
+			}
+			resp, body := postBatch(t, srv.URL, b)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("exec: HTTP %d: %s", resp.StatusCode, body)
+			}
+			reply, err := DecodeBatchResult(body)
+			if err != nil {
+				t.Fatalf("reply: %v\n%s", err, body)
+			}
+			if jr := reply.Results[0]; jr.Run != nil || jr.Transient || !strings.Contains(jr.Err, tc.want) {
+				t.Errorf("hostile spec: want deterministic validation error, got %+v", jr)
+			}
+		})
 	}
 }

@@ -16,15 +16,16 @@ package perceptron
 // check) with independent accumulators so the adds do not serialize
 // into one dependency chain.
 //
-// On amd64 these scalar kernels are only the tail path: full 8-weight
-// blocks go through the SSE2 kernels in kernel_amd64.s (PMADDWD
-// against a ±1 sign-vector table), which compute the identical exact
-// integer results eight lanes at a time. kernel_generic.go routes
-// everything through the scalar kernels on other architectures.
+// On amd64 the production kernels are the SSE2 kernels in
+// kernel_amd64.s (PMADDWD against a ±1 sign-vector table), which
+// compute the identical exact integer results eight lanes at a time
+// and use the same sign-mask identity for their sub-8-weight tail.
+// kernel_generic.go routes everything through the scalar kernels here
+// on other architectures.
 //
 // The original per-bit branchy loops survive in reference.go as the
 // executable specification; the fuzz and property tests in
-// kernel_test.go hold every kernel here — scalar and SIMD — bit-exact
+// kernel_test.go hold both kernels — scalar and SSE2 — bit-exact
 // against them.
 
 // dotScalar computes w[0] + Σ w[i+1]·x[i] where x[i] = +1 if history

@@ -2,22 +2,14 @@
 
 package perceptron
 
-import "math/bits"
-
-// kernel_amd64.go wires the Go-visible kernel entry points to the
-// assembly dispatch ladder (scalar → SSE2 → AVX2; see cpu_amd64.go for
-// how a tier is selected and kernel_amd64.s for the ladder itself).
-// dotKernel and trainKernel handle every geometry — bias, whole
-// 8-weight SIMD blocks, scalar tail — and pick the tier internally, so
-// the wrappers here are a single call the compiler inlines into every
-// caller: Table.Output in a sweep reaches vector code one CALL deep.
-//
-// The batched kernels behind Table.OutputBatch/TrainBatch
-// (kernel_avx2_amd64.s) amortize even that call: one crossing scores
-// or trains a whole struct-of-arrays request block. Every kernel at
-// every tier computes bit-identical results to the scalar kernels in
-// kernel.go, which the fuzz and property tests in kernel_test.go hold
-// to exact agreement with the branchy reference in reference.go.
+// kernel_amd64.go wires the Go-visible kernel entry points to the SSE2
+// kernels in kernel_amd64.s. dotKernel and trainKernel handle every
+// geometry — bias, whole 8-weight blocks, scalar tail — so the wrappers
+// here are a single call the compiler inlines into every caller:
+// Table.Output in a sweep reaches vector code one CALL deep. Both
+// kernels compute bit-identical results to the portable scalar kernels
+// in kernel.go, and the fuzz and property tests in kernel_test.go hold
+// both to exact agreement with the branchy reference in reference.go.
 
 // signTable[0][b] holds the eight ±1 sign words for history byte b
 // (+1 where the bit is set); signTable[1][b] is its negation, used as
@@ -51,15 +43,15 @@ func init() {
 }
 
 // dotKernel computes the full perceptron output — bias plus n-1
-// history weights against the ±1 signs of hist — selecting the SIMD
-// tier internally. Implemented in kernel_amd64.s.
+// history weights against the ±1 signs of hist. Implemented in
+// kernel_amd64.s.
 //
 //go:noescape
 func dotKernel(w *Weight, n int, hist uint64) int32
 
 // trainKernel applies one full training step toward target t (±1)
-// with saturation bounds packed as packBounds(min, max), selecting the
-// SIMD tier internally. Implemented in kernel_amd64.s.
+// with saturation bounds packed as packBounds(min, max). Implemented in
+// kernel_amd64.s.
 //
 //go:noescape
 func trainKernel(w *Weight, n int, hist uint64, t, bounds int64)
@@ -72,19 +64,6 @@ func trainBadTarget() {
 	panic("perceptron: train target not ±1")
 }
 
-// dotRowsAVX2 scores n whole-block rows of a flat table in one call,
-// mapping each pcs[i] to its row with the same (pc>>2 & mask) * stride
-// computation as Table.index; out[i] receives the full output.
-// trainRowsAVX2 is its training-step counterpart, applying updates in
-// request order. Implemented in kernel_avx2_amd64.s; only called when
-// useAVX2 is set.
-//
-//go:noescape
-func dotRowsAVX2(w *Weight, tbl *[256][8]int16, pcs, hist *uint64, out *int32, n, blocks int, mask uint64, stride int)
-
-//go:noescape
-func trainRowsAVX2(w *Weight, tbl *[2][256][8]int16, pcs, hist *uint64, tgt *int8, n, blocks int, mask uint64, stride int, sv *[16]int16)
-
 // dot computes w[0] + Σ w[i+1]·x[i] with x[i] = ±1 from hist.
 func dot(w []Weight, hist uint64) int {
 	return int(dotKernel(&w[0], len(w), hist))
@@ -94,30 +73,4 @@ func dot(w []Weight, hist uint64) int {
 // the saturation bounds packed by packBounds.
 func trainStep(w []Weight, hist uint64, t int, bounds int64) {
 	trainKernel(&w[0], len(w), hist, int64(t), bounds)
-}
-
-// outputBatch scores every request in b against table t. The AVX2
-// batched kernel takes whole-block geometries — every default — in a
-// single call; everything else goes row by row through the regular
-// dispatch ladder.
-func outputBatch(t *Table, w []Weight, b *Batch) {
-	n := len(b.PC)
-	if useAVX2 && t.hlen&7 == 0 {
-		dotRowsAVX2(&w[0], &signTable[0], &b.PC[0], &b.Hist[0], &b.Out[0], n,
-			t.hlen>>3, t.mask, t.stride)
-		return
-	}
-	t.outputBatchGeneric(b)
-}
-
-// trainBatch applies every training request in b to table t, in
-// request order (duplicate rows within a batch see earlier updates).
-func trainBatch(t *Table, w []Weight, b *Batch) {
-	n := len(b.PC)
-	if useAVX2 && t.hlen&7 == 0 {
-		trainRowsAVX2(&w[0], &signTable, &b.PC[0], &b.Hist[0], &b.Tgt[0], n,
-			t.hlen>>3, t.mask, t.stride, &satVecs[bits.Len16(uint16(t.max)+1)])
-		return
-	}
-	t.trainBatchGeneric(b)
 }

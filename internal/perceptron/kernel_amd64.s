@@ -2,12 +2,11 @@
 
 #include "textflag.h"
 
-// kernel_amd64.s holds the complete kernel dispatch ladder for one
-// perceptron row: dotKernel and trainKernel select the AVX2, SSE2, or
-// scalar tier themselves by reading ·useAVX2/·useSSE2, so the Go
-// wrappers in kernel_amd64.go are a single call the compiler inlines
-// into every caller — the hot path from Table.Output to vector code is
-// one CALL deep.
+// kernel_amd64.s holds the SSE2 kernels for one perceptron row. SSE2 is
+// architectural on amd64, so there is nothing to select at run time:
+// the Go wrappers in kernel_amd64.go are a single call the compiler
+// inlines into every caller, and the hot path from Table.Output to
+// vector code is one CALL deep.
 //
 // The ±1 input vector for eight history bits is one 16-byte row of
 // ·signTable indexed by a history byte. A dot-product block is then a
@@ -15,22 +14,12 @@
 // int32 lanes, no overflow at any supported weight width (64 weights ×
 // 2^14 < 2^31). A training block adds the ±1 delta row — ·signTable[1],
 // at byte offset 4096, holds the negated rows for t = -1 — and clamps
-// with PMAXSW/PMINSW against the bounds in ·satVecs. The AVX2 tier
-// (VEX.256) runs 16 weights per instruction by merging two sign rows
-// into one ymm; the paper-default 32-bit history gets a dedicated
-// straight-line path with no loop control at all.
+// with PMAXSW/PMINSW against the bounds in ·satVecs.
 //
-// Invariants:
-//   - VEX.128 ops zero bits 255:128 of their destination, so the ymm
-//     accumulator is folded to xmm BEFORE any odd 8-weight block.
-//   - VZEROUPPER runs before leaving any VEX.256 path so surrounding
-//     SSE-encoded Go code pays no AVX→SSE transition penalty.
-//   - The scalar tail (history length mod 8, or the whole row when the
-//     SIMD tiers are forced off) uses the same sign-mask identity as
-//     kernel.go: m = bit-1, contribution = (w ^ m) - m.
-//
-// Every tier computes bit-identical results; kernel_test.go holds them
-// all to exact agreement with the branchy reference in reference.go.
+// The scalar tail (history length mod 8) uses the same sign-mask
+// identity as kernel.go: m = bit-1, contribution = (w ^ m) - m.
+// kernel_test.go holds both kernels to exact agreement with the branchy
+// reference in reference.go.
 
 // func dotKernel(w *Weight, n int, hist uint64) int32
 //
@@ -43,12 +32,7 @@ TEXT ·dotKernel(SB), NOSPLIT, $0-28
 	ADDQ    $2, SI
 	DECQ    BX        // BX = hlen
 
-	CMPB ·useAVX2(SB), $0
-	JNE  avx2dot
-	CMPB ·useSSE2(SB), $0
-	JE   scalardot
-
-	// ---- SSE2 tier: blocks two at a time, independent accumulators ----
+	// Blocks two at a time, independent accumulators.
 	LEAQ ·signTable(SB), DI
 	MOVQ BX, R12
 	SHRQ $3, R12
@@ -56,9 +40,9 @@ TEXT ·dotKernel(SB), NOSPLIT, $0-28
 	PXOR X0, X0
 	PXOR X7, X7
 	SUBQ $2, R12
-	JLT  ssedotsingle
+	JLT  dotsingle
 
-ssedotloop:
+dotloop:
 	MOVWLZX CX, AX // next two history bytes
 	MOVL    AX, R8
 	ANDL    $255, AX
@@ -76,11 +60,11 @@ ssedotloop:
 	ADDQ    $32, SI
 	SHRQ    $16, CX
 	SUBQ    $2, R12
-	JGE     ssedotloop
+	JGE     dotloop
 
-ssedotsingle:
+dotsingle:
 	ADDQ $2, R12
-	JZ   ssedotsum
+	JZ   dotsum
 
 	// Odd leftover block.
 	MOVBLZX CX, AX
@@ -92,7 +76,7 @@ ssedotsingle:
 	ADDQ    $16, SI
 	SHRQ    $8, CX
 
-ssedotsum:
+dotsum:
 	// Horizontal sum: after two shuffle+add rounds every lane holds
 	// the total.
 	PADDL  X7, X0
@@ -102,105 +86,9 @@ ssedotsum:
 	PADDL  X1, X0
 	MOVQ   X0, AX
 	ADDL   AX, R11
-	JMP    dottail
-
-	// ---- AVX2 tier ----
-avx2dot:
-	LEAQ ·signTable(SB), DI
-	CMPQ BX, $32
-	JEQ  dot32
-	MOVQ BX, R12
-	SHRQ $3, R12
-	JZ   dottail
-	VPXOR Y0, Y0, Y0
-	SUBQ  $2, R12
-	JLT   avxdotsingle
-
-avxdotloop:
-	// Two history bytes select two sign rows; merge into one ymm and
-	// multiply-add against 16 weights.
-	MOVWLZX     CX, AX
-	MOVL        AX, R8
-	ANDL        $255, AX
-	SHRL        $8, R8
-	SHLL        $4, AX
-	SHLL        $4, R8
-	VMOVDQU     (DI)(AX*1), X1
-	VINSERTI128 $1, (DI)(R8*1), Y1, Y1
-	VPMADDWD    (SI), Y1, Y1
-	VPADDD      Y1, Y0, Y0
-	ADDQ        $32, SI
-	SHRQ        $16, CX
-	SUBQ        $2, R12
-	JGE         avxdotloop
-
-avxdotsingle:
-	// Fold the ymm accumulator down before the (128-bit) odd block.
-	VEXTRACTI128 $1, Y0, X1
-	VPADDD       X1, X0, X0
-	ADDQ         $2, R12
-	JZ           avxdotsum
-
-	MOVBLZX  CX, AX
-	SHLL     $4, AX
-	VMOVDQU  (DI)(AX*1), X1
-	VPMADDWD (SI), X1, X1
-	VPADDD   X1, X0, X0
-	ADDQ     $16, SI
-	SHRQ     $8, CX
-
-avxdotsum:
-	VPSHUFD $0x4E, X0, X1
-	VPADDD  X1, X0, X0
-	VPSHUFD $0xB1, X0, X1
-	VPADDD  X1, X0, X0
-	VMOVD   X0, AX
-	ADDL    AX, R11
-	VZEROUPPER
-	JMP     dottail
-
-	// Straight-line 32-weight dot: four history bytes, four sign rows
-	// merged into two ymm vectors, two VPMADDWDs, no loop control.
-dot32:
-	MOVBLZX CX, AX
-	MOVL    CX, R8
-	SHRL    $8, R8
-	MOVBLZX R8, R8
-	MOVL    CX, R9
-	SHRL    $16, R9
-	MOVBLZX R9, R9
-	MOVL    CX, R10
-	SHRL    $24, R10
-	SHLL    $4, AX
-	SHLL    $4, R8
-	SHLL    $4, R9
-	SHLL    $4, R10
-	VMOVDQU     (DI)(AX*1), X1
-	VINSERTI128 $1, (DI)(R8*1), Y1, Y1
-	VMOVDQU     (DI)(R9*1), X2
-	VINSERTI128 $1, (DI)(R10*1), Y2, Y2
-	VPMADDWD    (SI), Y1, Y1
-	VPMADDWD    32(SI), Y2, Y2
-	VPADDD      Y2, Y1, Y0
-	VEXTRACTI128 $1, Y0, X1
-	VPADDD      X1, X0, X0
-	VPSHUFD     $0x4E, X0, X1
-	VPADDD      X1, X0, X0
-	VPSHUFD     $0xB1, X0, X1
-	VPADDD      X1, X0, X0
-	VMOVD       X0, AX
-	ADDL        AX, R11
-	VZEROUPPER
-	MOVL        R11, ret+24(FP)
-	RET
-
-	// ---- scalar tier (SIMD forced off) and the sub-8-weight tail ----
-scalardot:
-	TESTQ BX, BX
-	JZ    dotdone
-	JMP   dottailloop
 
 dottail:
+	// The sub-8-weight tail.
 	ANDQ $7, BX
 	JZ   dotdone
 
@@ -259,12 +147,6 @@ tvalid:
 	ADDQ    $2, SI
 	DECQ    BX // BX = hlen
 
-	CMPB ·useAVX2(SB), $0
-	JNE  avx2train
-	CMPB ·useSSE2(SB), $0
-	JE   scalartrain
-
-	// ---- SSE2 tier ----
 	MOVQ BX, R12
 	SHRQ $3, R12
 	JZ   traintail
@@ -287,7 +169,7 @@ tvalid:
 	MOVOU (DX), X3
 	MOVOU 16(DX), X4
 
-ssetrainloop:
+trainloop:
 	MOVBLZX CX, AX
 	SHLL    $4, AX
 	MOVOU   (DI)(AX*1), X1
@@ -299,114 +181,10 @@ ssetrainloop:
 	ADDQ    $16, SI
 	SHRQ    $8, CX
 	DECQ    R12
-	JNZ     ssetrainloop
-	JMP     traintail
-
-	// ---- AVX2 tier ----
-avx2train:
-	LEAQ    ·signTable(SB), DI
-	LEAQ    4096(DI), DX
-	TESTQ   R9, R9
-	CMOVQLT DX, DI
-
-	LEAL 1(R11), AX
-	BSRL AX, AX
-	INCL AX
-	SHLL $5, AX
-	LEAQ ·satVecs(SB), DX
-	ADDQ AX, DX
-
-	CMPQ BX, $32
-	JEQ  train32
-
-	MOVQ BX, R12
-	SHRQ $3, R12
-	JZ   traintail
-	VBROADCASTI128 (DX), Y3   // min lanes
-	VBROADCASTI128 16(DX), Y4 // max lanes
-	SUBQ $2, R12
-	JLT  avxtrainsingle
-
-avxtrainloop:
-	MOVWLZX     CX, AX
-	MOVL        AX, R8
-	ANDL        $255, AX
-	SHRL        $8, R8
-	SHLL        $4, AX
-	SHLL        $4, R8
-	VMOVDQU     (DI)(AX*1), X1
-	VINSERTI128 $1, (DI)(R8*1), Y1, Y1
-	VMOVDQU     (SI), Y2
-	VPADDW      Y1, Y2, Y2
-	VPMAXSW     Y3, Y2, Y2
-	VPMINSW     Y4, Y2, Y2
-	VMOVDQU     Y2, (SI)
-	ADDQ        $32, SI
-	SHRQ        $16, CX
-	SUBQ        $2, R12
-	JGE         avxtrainloop
-
-avxtrainsingle:
-	ADDQ $2, R12
-	JZ   avxtraindone
-
-	// Odd leftover block, 128-bit (X3/X4 are the low lanes of Y3/Y4).
-	MOVBLZX CX, AX
-	SHLL    $4, AX
-	VMOVDQU (DI)(AX*1), X1
-	VMOVDQU (SI), X2
-	VPADDW  X1, X2, X2
-	VPMAXSW X3, X2, X2
-	VPMINSW X4, X2, X2
-	VMOVDQU X2, (SI)
-	ADDQ    $16, SI
-	SHRQ    $8, CX
-
-avxtraindone:
-	VZEROUPPER
-	JMP traintail
-
-	// Straight-line 32-weight train.
-train32:
-	VBROADCASTI128 (DX), Y3
-	VBROADCASTI128 16(DX), Y4
-	MOVBLZX CX, AX
-	MOVL    CX, R8
-	SHRL    $8, R8
-	MOVBLZX R8, R8
-	MOVL    CX, R12
-	SHRL    $16, R12
-	MOVBLZX R12, R12
-	MOVL    CX, R13
-	SHRL    $24, R13
-	SHLL    $4, AX
-	SHLL    $4, R8
-	SHLL    $4, R12
-	SHLL    $4, R13
-	VMOVDQU     (DI)(AX*1), X1
-	VINSERTI128 $1, (DI)(R8*1), Y1, Y1
-	VMOVDQU     (DI)(R12*1), X2
-	VINSERTI128 $1, (DI)(R13*1), Y2, Y2
-	VMOVDQU     (SI), Y5
-	VMOVDQU     32(SI), Y6
-	VPADDW      Y1, Y5, Y5
-	VPADDW      Y2, Y6, Y6
-	VPMAXSW     Y3, Y5, Y5
-	VPMAXSW     Y3, Y6, Y6
-	VPMINSW     Y4, Y5, Y5
-	VPMINSW     Y4, Y6, Y6
-	VMOVDQU     Y5, (SI)
-	VMOVDQU     Y6, 32(SI)
-	VZEROUPPER
-	RET
-
-	// ---- scalar tier and the sub-8-weight tail ----
-scalartrain:
-	TESTQ BX, BX
-	JZ    traindone
-	JMP   traintailloop
+	JNZ     trainloop
 
 traintail:
+	// The sub-8-weight tail.
 	ANDQ $7, BX
 	JZ   traindone
 
@@ -436,4 +214,3 @@ traindone:
 tbadtarget:
 	CALL ·trainBadTarget(SB) // panics; never returns
 	RET
-

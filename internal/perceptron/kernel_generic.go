@@ -3,8 +3,7 @@
 package perceptron
 
 // On architectures without an assembly fast path the branchless scalar
-// kernels are the production kernels, and batches are scored row by
-// row.
+// kernels are the production kernels.
 
 func dot(w []Weight, hist uint64) int { return dotScalar(w, hist) }
 
@@ -14,11 +13,3 @@ func trainStep(w []Weight, hist uint64, t int, bounds int64) {
 	}
 	trainScalar(w, hist, t, Weight(int16(bounds)), Weight(bounds>>16))
 }
-
-func outputBatch(t *Table, _ []Weight, b *Batch) { t.outputBatchGeneric(b) }
-
-func trainBatch(t *Table, _ []Weight, b *Batch) { t.trainBatchGeneric(b) }
-
-// KernelTier names the kernel tier in use; without assembly kernels it
-// is always "scalar".
-func KernelTier() string { return "scalar" }

@@ -71,7 +71,7 @@ func TestKernelBitExactAllWidths(t *testing.T) {
 
 // TestScalarKernelBitExact holds the portable scalar kernels to the
 // reference directly. On amd64 the Perceptron/Table paths above
-// exercise the SIMD kernels, so without this the scalar fallback (the
+// exercise the SSE2 kernels, so without this the scalar fallback (the
 // production kernel everywhere else, and the tail path on amd64) would
 // only be covered for sub-8-weight tails.
 func TestScalarKernelBitExact(t *testing.T) {
@@ -102,6 +102,59 @@ func TestScalarKernelBitExact(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// kernelTiers names the two kernels every build keeps: the portable
+// scalar one and the production one behind Perceptron. The second is
+// the SSE2 kernel on amd64; on other architectures dot and trainStep
+// are the scalar kernel again. Each is driven over a bare weight slice
+// so both can be held to the reference in one op stream.
+var kernelTiers = []struct {
+	name  string
+	dot   func(w []Weight, hist uint64) int
+	train func(w []Weight, hist uint64, t int, min, max Weight)
+}{
+	{"scalar", dotScalar, trainScalar},
+	{"sse2", dot, func(w []Weight, hist uint64, t int, min, max Weight) {
+		trainStep(w, hist, t, packBounds(min, max))
+	}},
+}
+
+// TestKernelAllTiersBitExact runs the single-call equivalence proof on
+// each kernel directly, at history lengths around every unroll and
+// vector-width boundary.
+func TestKernelAllTiersBitExact(t *testing.T) {
+	hlens := []int{1, 3, 8, 13, 16, 31, 32, 33, 64}
+	for _, k := range kernelTiers {
+		t.Run(k.name, func(t *testing.T) {
+			for _, bits := range []int{2, 8, 15} {
+				rng := rand.New(rand.NewSource(int64(bits) * 1299709))
+				for _, hlen := range hlens {
+					got := newRefPerceptron(hlen, bits)
+					ref := newRefPerceptron(hlen, bits)
+					for step := 0; step < 200; step++ {
+						hist := rng.Uint64()
+						if rng.Intn(2) == 0 {
+							if g, w := k.dot(got.w, hist), ref.output(hist); g != w {
+								t.Fatalf("hlen=%d bits=%d step=%d: dot = %d, reference %d",
+									hlen, bits, step, g, w)
+							}
+							continue
+						}
+						tgt := 1 - 2*rng.Intn(2)
+						k.train(got.w, hist, tgt, got.min, got.max)
+						ref.train(hist, tgt)
+						for i, w := range got.w {
+							if w != ref.w[i] {
+								t.Fatalf("hlen=%d bits=%d step=%d: weight[%d] = %d, reference %d",
+									hlen, bits, step, i, w, ref.w[i])
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -143,25 +196,31 @@ func TestTableKernelMatchesReference(t *testing.T) {
 
 // FuzzKernelBitExact is the fuzz form of the equivalence proof: the
 // fuzzer picks the geometry and an arbitrary interleaving of Output and
-// Train ops (with histories and targets derived from the op stream) and
-// the optimized and reference implementations must agree exactly.
+// Train ops (with histories and targets derived from the op stream), and
+// both kernels — the production one (SSE2 on amd64) and the portable
+// scalar one — must agree exactly with the reference.
 func FuzzKernelBitExact(f *testing.F) {
 	f.Add(uint8(32), uint8(8), int64(1), []byte{0, 1, 2, 3, 255, 128})
 	f.Add(uint8(1), uint8(2), int64(2), []byte{7})
 	f.Add(uint8(64), uint8(15), int64(3), []byte{0xAA, 0x55, 0x00, 0xFF})
 	f.Add(uint8(13), uint8(5), int64(4), []byte{1, 1, 1, 1, 1, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, hlenU, bitsU uint8, seed int64, ops []byte) {
-		hlen := 1 + int(hlenU)%64  // 1..64
-		bits := 2 + int(bitsU)%14  // 2..15
+		hlen := 1 + int(hlenU)%64 // 1..64
+		bits := 2 + int(bitsU)%14 // 2..15
 		p := New(hlen, bits)
+		scalar := newRefPerceptron(hlen, bits) // weights driven by the scalar kernels
 		ref := newRefPerceptron(hlen, bits)
 		rng := rand.New(rand.NewSource(seed))
 		for step, op := range ops {
 			hist := rng.Uint64()
 			if op&1 == 0 {
-				got, want := p.Output(hist), ref.output(hist)
-				if got != want {
+				want := ref.output(hist)
+				if got := p.Output(hist); got != want {
 					t.Fatalf("hlen=%d bits=%d step=%d: Output = %d, reference %d",
+						hlen, bits, step, got, want)
+				}
+				if got := dotScalar(scalar.w, hist); got != want {
+					t.Fatalf("hlen=%d bits=%d step=%d: dotScalar = %d, reference %d",
 						hlen, bits, step, got, want)
 				}
 			} else {
@@ -170,13 +229,54 @@ func FuzzKernelBitExact(f *testing.F) {
 					tgt = -1
 				}
 				p.Train(hist, tgt)
+				trainScalar(scalar.w, hist, tgt, scalar.min, scalar.max)
 				ref.train(hist, tgt)
 			}
 		}
 		for i, w := range p.Weights() {
-			if w != ref.w[i] {
-				t.Fatalf("hlen=%d bits=%d: final weight[%d] = %d, reference %d",
-					hlen, bits, i, w, ref.w[i])
+			if w != ref.w[i] || scalar.w[i] != ref.w[i] {
+				t.Fatalf("hlen=%d bits=%d: final weight[%d] = %d (scalar %d), reference %d",
+					hlen, bits, i, w, scalar.w[i], ref.w[i])
+			}
+		}
+	})
+}
+
+// FuzzKernelTiersBitExact fuzzes the op-sequence equivalence proof on
+// each kernel directly: the same geometry and op stream must leave every
+// kernel with the reference's outputs and final weights.
+func FuzzKernelTiersBitExact(f *testing.F) {
+	f.Add(uint8(32), uint8(8), int64(1), []byte{0, 1, 2, 3, 255, 128})
+	f.Add(uint8(1), uint8(2), int64(2), []byte{7})
+	f.Add(uint8(64), uint8(15), int64(3), []byte{0xAA, 0x55, 0x00, 0xFF})
+	f.Fuzz(func(t *testing.T, hlenU, bitsU uint8, seed int64, ops []byte) {
+		hlen := 1 + int(hlenU)%64
+		bits := 2 + int(bitsU)%14
+		for _, k := range kernelTiers {
+			got := newRefPerceptron(hlen, bits)
+			ref := newRefPerceptron(hlen, bits)
+			rng := rand.New(rand.NewSource(seed))
+			for step, op := range ops {
+				hist := rng.Uint64()
+				if op&1 == 0 {
+					if g, w := k.dot(got.w, hist), ref.output(hist); g != w {
+						t.Fatalf("%s hlen=%d bits=%d step=%d: dot = %d, reference %d",
+							k.name, hlen, bits, step, g, w)
+					}
+					continue
+				}
+				tgt := 1
+				if op&2 != 0 {
+					tgt = -1
+				}
+				k.train(got.w, hist, tgt, got.min, got.max)
+				ref.train(hist, tgt)
+			}
+			for i, w := range got.w {
+				if w != ref.w[i] {
+					t.Fatalf("%s hlen=%d bits=%d: final weight[%d] = %d, reference %d",
+						k.name, hlen, bits, i, w, ref.w[i])
+				}
 			}
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"bce/internal/confidence"
 	"bce/internal/config"
 	"bce/internal/gating"
+	"bce/internal/metrics"
 	"bce/internal/workload"
 )
 
@@ -95,33 +96,41 @@ func checkInvariants(t *testing.T, s *Sim) {
 	}
 }
 
+// randomMachine draws a valid machine shape with every width, depth
+// and capacity randomized.
+func randomMachine(t *testing.T, rng *rand.Rand) config.Machine {
+	t.Helper()
+	m := config.Baseline40x4()
+	m.Name = "fuzz"
+	m.FetchWidth = 1 + rng.Intn(8)
+	m.DispatchWidth = 1 + rng.Intn(8)
+	m.IssueWidth = 1 + rng.Intn(12)
+	m.RetireWidth = 1 + rng.Intn(8)
+	m.FrontendDepth = 2 + rng.Intn(18)
+	m.BranchResolveExtra = rng.Intn(40)
+	m.Depth = m.FrontendDepth + m.BranchResolveExtra + 5
+	m.BranchPerCycle = 1 + rng.Intn(3)
+	m.ROB = 16 << rng.Intn(4) // 16..128
+	m.LoadBufs = 4 + rng.Intn(48)
+	m.StoreBufs = 4 + rng.Intn(32)
+	m.IntSched = 8 + rng.Intn(48)
+	m.MemSched = 4 + rng.Intn(24)
+	m.FPSched = 4 + rng.Intn(56)
+	m.IntUnits = 1 + rng.Intn(4)
+	m.MemUnits = 1 + rng.Intn(3)
+	m.FPUnits = 1 + rng.Intn(2)
+	if err := m.Validate(); err != nil {
+		t.Fatalf("invalid machine: %v", err)
+	}
+	return m
+}
+
 // Randomized machine shapes must preserve the structural invariants
 // every step and still retire everything asked of them.
 func TestInvariantsUnderRandomMachines(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 8; trial++ {
-		m := config.Baseline40x4()
-		m.Name = "fuzz"
-		m.FetchWidth = 1 + rng.Intn(8)
-		m.DispatchWidth = 1 + rng.Intn(8)
-		m.IssueWidth = 1 + rng.Intn(12)
-		m.RetireWidth = 1 + rng.Intn(8)
-		m.FrontendDepth = 2 + rng.Intn(18)
-		m.BranchResolveExtra = rng.Intn(40)
-		m.Depth = m.FrontendDepth + m.BranchResolveExtra + 5
-		m.BranchPerCycle = 1 + rng.Intn(3)
-		m.ROB = 16 << rng.Intn(4) // 16..128
-		m.LoadBufs = 4 + rng.Intn(48)
-		m.StoreBufs = 4 + rng.Intn(32)
-		m.IntSched = 8 + rng.Intn(48)
-		m.MemSched = 4 + rng.Intn(24)
-		m.FPSched = 4 + rng.Intn(56)
-		m.IntUnits = 1 + rng.Intn(4)
-		m.MemUnits = 1 + rng.Intn(3)
-		m.FPUnits = 1 + rng.Intn(2)
-		if err := m.Validate(); err != nil {
-			t.Fatalf("trial %d: invalid machine: %v", trial, err)
-		}
+		m := randomMachine(t, rng)
 		bench := workload.Names()[rng.Intn(12)]
 		var est confidence.Estimator
 		pol := gating.Policy{}
@@ -190,4 +199,51 @@ func TestRunSplitEquivalence(t *testing.T) {
 	if got, want := ra1.Executed+ra2.Executed+ra3.Executed, rb.Executed; got != want {
 		t.Errorf("executed: split %d vs whole %d", got, want)
 	}
+}
+
+// TestDemoteStrongWithoutReversalIsIdentity is a metamorphic property
+// over random machines: with reversal off, StrongLow and WeakLow both
+// gate and both count as low confidence, so demoting StrongLow to
+// WeakLow must not change a single counter of the run.
+func TestDemoteStrongWithoutReversalIsIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	for trial := 0; trial < 4; trial++ {
+		m := randomMachine(t, rng)
+		bench := workload.Names()[rng.Intn(12)]
+		pol := gating.PL(1 + rng.Intn(3))
+		strong := &strongCounter{Estimator: confidence.NewCICWith(confidence.CICConfig{Lambda: -75, Reversal: 50})}
+		run := func(wrap bool) metrics.Run {
+			var est confidence.Estimator = confidence.NewCICWith(confidence.CICConfig{Lambda: -75, Reversal: 50})
+			if wrap {
+				est = confidence.DemoteStrong{Inner: strong}
+			}
+			s := New(Options{Machine: m, Estimator: est, Gating: pol}, gen(t, bench))
+			s.Run(2000)
+			return s.Run(6000)
+		}
+		plain, demoted := run(false), run(true)
+		if plain != demoted {
+			t.Errorf("trial %d (%s, PL%d, %dw): demote-strong changed the run:\n plain:   %+v\n demoted: %+v",
+				trial, bench, pol.Threshold, m.FetchWidth, plain, demoted)
+		}
+		if strong.n == 0 || plain.GateEvents == 0 {
+			t.Errorf("trial %d: %d strongly-low estimates, %d gate events; the property is vacuous",
+				trial, strong.n, plain.GateEvents)
+		}
+	}
+}
+
+// strongCounter counts the StrongLow estimates of the estimator it
+// wraps.
+type strongCounter struct {
+	confidence.Estimator
+	n int
+}
+
+func (c *strongCounter) Estimate(pc uint64, predictedTaken bool) confidence.Token {
+	tok := c.Estimator.Estimate(pc, predictedTaken)
+	if tok.Band == confidence.StrongLow {
+		c.n++
+	}
+	return tok
 }

@@ -19,7 +19,6 @@
 package pipeline
 
 import (
-
 	"bce/internal/cache"
 	"bce/internal/confidence"
 	"bce/internal/config"
@@ -168,19 +167,6 @@ type Sim struct {
 	loadsUsed  int
 	storesUsed int
 
-	// Batched-estimator fast path (see batching.go). Non-nil only when
-	// handing a whole fetch group (estBatcher) or retire group
-	// (trainBatcher) to the estimator in one call is provably identical
-	// to the sequential protocol. The slices are preallocated to the
-	// per-cycle caps, so the hot loop never allocates.
-	estBatcher   confidence.BatchEstimator
-	trainBatcher confidence.BatchTrainer
-	estPCs       []uint64
-	estPred      []bool
-	estToks      []confidence.Token
-	estIdx       []int32
-	trainReqs    []confidence.TrainReq
-
 	cycle      uint64
 	seq        uint64
 	stallUntil uint64
@@ -279,7 +265,6 @@ func NewFromSource(opt Options, gen trace.Source, wrong workload.PathSource) *Si
 	for r := range s.rename {
 		s.rename[r] = renameEntry{idx: -1}
 	}
-	s.initBatching(m)
 	return s
 }
 

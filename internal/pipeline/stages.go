@@ -60,17 +60,8 @@ func (r *ring) truncate(keep int) { r.n = keep }
 func (r *ring) clear() { r.n = 0 }
 
 // retire drains completed uops in program order, training the
-// confidence estimator and accumulating branch statistics. On the
-// batched-estimator path the cycle's Train calls accumulate in
-// retireCycle and are applied here as one in-order TrainBatch.
+// confidence estimator and accumulating branch statistics.
 func (s *Sim) retire() {
-	s.retireCycle()
-	if s.trainBatcher != nil && len(s.trainReqs) > 0 {
-		s.applyTrains()
-	}
-}
-
-func (s *Sim) retireCycle() {
 	m := s.opt.Machine
 	for retired := 0; retired < m.RetireWidth && s.rob.len() > 0; retired++ {
 		idx := s.rob.at(0)
@@ -89,10 +80,7 @@ func (s *Sim) retireCycle() {
 			s.storesUsed--
 		}
 		if e.isBranch {
-			if s.trainBatcher != nil {
-				s.trainReqs = append(s.trainReqs, confidence.TrainReq{
-					PC: e.u.PC, Tok: e.tok, Mispredicted: e.mispredOrig, Taken: e.actualTaken})
-			} else if !s.opt.SpeculativeCETrain {
+			if !s.opt.SpeculativeCETrain {
 				s.est.Train(e.u.PC, e.tok, e.mispredOrig, e.actualTaken)
 			}
 			s.ctr.retiredBranches.Inc()
@@ -376,17 +364,8 @@ func (s *Sim) renameSources(e *inflight) {
 
 // fetch pulls uops from the active path (correct or wrong), predicting
 // and confidence-estimating conditional branches, honoring trace-cache
-// misses, pipeline gating and redirect bubbles. On the
-// batched-estimator path the cycle's fetch group of branches is
-// estimated in one call after the fetch loop, whatever made it stop.
+// misses, pipeline gating and redirect bubbles.
 func (s *Sim) fetch() {
-	s.fetchCycle()
-	if s.estBatcher != nil && len(s.estIdx) > 0 {
-		s.applyEstimates()
-	}
-}
-
-func (s *Sim) fetchCycle() {
 	if s.cycle < s.stallUntil {
 		return
 	}
@@ -440,7 +419,7 @@ func (s *Sim) fetchCycle() {
 		e.dispatchAt = s.cycle + uint64(m.FrontendDepth)
 		e.state = sFetched
 		if u.Kind.IsConditional() {
-			s.fetchBranch(e, idx)
+			s.fetchBranch(e)
 		}
 		s.fetchQ.push(idx)
 		s.peekedValid = false
@@ -454,11 +433,8 @@ func (s *Sim) fetchCycle() {
 }
 
 // fetchBranch runs prediction, confidence estimation, reversal and
-// gating for one fetched conditional branch. On the batched-estimator
-// path the estimate is deferred to the end of the fetch stage; with
-// reversal off (a precondition of that path) everything below the
-// deferral point is prediction-only.
-func (s *Sim) fetchBranch(e *inflight, idx int32) {
+// gating for one fetched conditional branch.
+func (s *Sim) fetchBranch(e *inflight) {
 	e.isBranch = true
 	e.actualTaken = e.u.Taken
 	switch {
@@ -476,40 +452,33 @@ func (s *Sim) fetchBranch(e *inflight, idx int32) {
 		s.sink.Emit(telemetry.Event{Kind: telemetry.EvPredict, Cycle: s.cycle, Seq: e.seq, PC: e.u.PC,
 			Taken: e.predTaken, WrongPath: e.wrongPath})
 	}
-	if s.estBatcher != nil {
-		e.finalTaken = e.predTaken
-		e.mispredOrig = e.predTaken != e.actualTaken
-		e.mispredFinal = e.mispredOrig
-		s.deferEstimate(e, idx)
-	} else {
-		if or, ok := s.est.(confidence.TraceOracle); ok {
-			or.ObserveNext(e.predTaken != e.actualTaken)
+	if or, ok := s.est.(confidence.TraceOracle); ok {
+		or.ObserveNext(e.predTaken != e.actualTaken)
+	}
+	e.tok = s.est.Estimate(e.u.PC, e.predTaken)
+	e.finalTaken = e.predTaken
+	if s.opt.Reversal && e.tok.Band == confidence.StrongLow {
+		e.finalTaken = !e.predTaken
+		e.reversed = true
+	}
+	e.mispredOrig = e.predTaken != e.actualTaken
+	e.mispredFinal = e.finalTaken != e.actualTaken
+	if e.reversed && s.sink != nil {
+		s.sink.Emit(telemetry.Event{Kind: telemetry.EvReversal, Cycle: s.cycle, Seq: e.seq, PC: e.u.PC,
+			Taken: e.finalTaken, Mispred: e.mispredOrig && !e.mispredFinal, WrongPath: e.wrongPath})
+	}
+	gateIt := e.tok.Band == confidence.WeakLow ||
+		(e.tok.Band == confidence.StrongLow && !s.opt.Reversal)
+	if gateIt && s.gate.Enabled() {
+		s.gate.OnFetch(e.seq, s.cycle)
+		e.gated = true
+		if s.sink != nil {
+			s.sink.Emit(telemetry.Event{Kind: telemetry.EvGateArm, Cycle: s.cycle, Seq: e.seq, PC: e.u.PC,
+				WrongPath: e.wrongPath})
 		}
-		e.tok = s.est.Estimate(e.u.PC, e.predTaken)
-		e.finalTaken = e.predTaken
-		if s.opt.Reversal && e.tok.Band == confidence.StrongLow {
-			e.finalTaken = !e.predTaken
-			e.reversed = true
-		}
-		e.mispredOrig = e.predTaken != e.actualTaken
-		e.mispredFinal = e.finalTaken != e.actualTaken
-		if e.reversed && s.sink != nil {
-			s.sink.Emit(telemetry.Event{Kind: telemetry.EvReversal, Cycle: s.cycle, Seq: e.seq, PC: e.u.PC,
-				Taken: e.finalTaken, Mispred: e.mispredOrig && !e.mispredFinal, WrongPath: e.wrongPath})
-		}
-		gateIt := e.tok.Band == confidence.WeakLow ||
-			(e.tok.Band == confidence.StrongLow && !s.opt.Reversal)
-		if gateIt && s.gate.Enabled() {
-			s.gate.OnFetch(e.seq, s.cycle)
-			e.gated = true
-			if s.sink != nil {
-				s.sink.Emit(telemetry.Event{Kind: telemetry.EvGateArm, Cycle: s.cycle, Seq: e.seq, PC: e.u.PC,
-					WrongPath: e.wrongPath})
-			}
-		}
-		if s.opt.SpeculativeCETrain && !e.wrongPath && !s.opt.Perfect {
-			s.est.Train(e.u.PC, e.tok, e.mispredOrig, e.actualTaken)
-		}
+	}
+	if s.opt.SpeculativeCETrain && !e.wrongPath && !s.opt.Perfect {
+		s.est.Train(e.u.PC, e.tok, e.mispredOrig, e.actualTaken)
 	}
 	if e.mispredFinal && !e.wrongPath && !s.opt.Perfect {
 		e.diverge = true

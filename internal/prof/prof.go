@@ -32,7 +32,7 @@ type ValueType struct {
 // function record) carry the hex address in Function and a zero Line.
 type Frame struct {
 	// Function is the fully qualified function name
-	// ("bce/internal/perceptron.dotAVX2").
+	// ("bce/internal/perceptron.dotKernel").
 	Function string `json:"function"`
 	// File is the source file path, if known.
 	File string `json:"file,omitempty"`

@@ -45,7 +45,7 @@ func main() {
 		compare    = flag.String("compare", "", "baseline JSON report; compare-only mode unless -suite also runs")
 		against    = flag.String("against", "", "candidate JSON report to compare against the -compare baseline (default: this run's results)")
 		maxRegress = flag.Float64("max-regress", 10, "fail the comparison when any shared benchmark slows down by more than this percent")
-		profFlags  = prof.RegisterFlags(nil)
+		profDir    = prof.RegisterFlags()
 		profileTop = flag.Int("profile-top", 10, "symbols per suite in the regression attribution table")
 		progress   = flag.Bool("progress", false, "report per-suite progress on stderr")
 		verbose    = flag.Bool("v", false, "stream raw go test output to stderr")
@@ -71,7 +71,7 @@ func main() {
 	ctx, stop := runner.ShutdownContext(context.Background())
 	defer stop()
 	if err := run(ctx, *suite, *count, *benchtime, *out,
-		*compare, *against, *maxRegress, *profFlags.Dir, *profileTop, *progress, *verbose); err != nil {
+		*compare, *against, *maxRegress, *profDir, *profileTop, *progress, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "bcebench:", err)
 		os.Exit(1)
 	}
@@ -87,12 +87,18 @@ func run(ctx context.Context, suite string, count int, benchtime, out string,
 		out = "BENCH_" + manifest.ShortRevision() + ".json"
 	}
 
-	var ring *prof.Ring
+	// diff attributes a regression from two profile digests; nil
+	// without -profile-dir.
+	var (
+		ring *prof.Ring
+		diff diffFunc
+	)
 	if profileDir != "" {
 		var err error
-		if ring, err = prof.OpenRing(profileDir, 0, 0); err != nil {
+		if ring, err = prof.OpenRing(profileDir); err != nil {
 			return err
 		}
+		diff = ring.Diff
 	}
 
 	// Pure compare mode: two existing reports, no benchmarks run.
@@ -105,7 +111,7 @@ func run(ctx context.Context, suite string, count int, benchtime, out string,
 		if err != nil {
 			return err
 		}
-		return gate(old, cand, maxRegress, ring, profileTop)
+		return gate(old, cand, maxRegress, diff, profileTop)
 	}
 
 	suites, err := bench.Suites(suite)
@@ -202,7 +208,7 @@ func run(ctx context.Context, suite string, count int, benchtime, out string,
 		if err != nil {
 			return err
 		}
-		return gate(old, report, maxRegress, ring, profileTop)
+		return gate(old, report, maxRegress, diff, profileTop)
 	}
 	return nil
 }
@@ -222,14 +228,17 @@ func load(path string) (*bench.Report, error) {
 	return &r, nil
 }
 
-func gate(old, cand *bench.Report, maxRegress float64, ring *prof.Ring, top int) error {
+// diffFunc diffs the profiles stored under two digests (prof.Ring.Diff).
+type diffFunc func(baseDigest, candDigest string) (*prof.Delta, error)
+
+func gate(old, cand *bench.Report, maxRegress float64, diff diffFunc, top int) error {
 	cmps := bench.Compare(old, cand)
 	if len(cmps) == 0 {
 		return fmt.Errorf("no benchmarks in either report")
 	}
 	fmt.Print(bench.FormatComparisons(cmps, maxRegress))
 	if bad := bench.Regressions(cmps, maxRegress); len(bad) > 0 {
-		attribute(os.Stdout, bad, old, cand, ring, top)
+		attribute(os.Stdout, bad, old, cand, diff, top)
 		return fmt.Errorf("%d benchmark(s) regressed more than %.0f%%", len(bad), maxRegress)
 	}
 	// Benchmarks on only one side are reported above as new/removed;
@@ -245,10 +254,10 @@ func gate(old, cand *bench.Report, maxRegress float64, ring *prof.Ring, top int)
 
 // attribute prints a per-function CPU delta table for every suite
 // with a regressed benchmark, when both reports carry a cpu profile
-// ref for the suite and the ring holds the bytes. Diagnostics go to
+// ref for the suite and diff can resolve both. Diagnostics go to
 // stderr: attribution is advisory and must never turn a clear gate
 // verdict into an error.
-func attribute(w io.Writer, bad []bench.Comparison, old, cand *bench.Report, ring *prof.Ring, top int) {
+func attribute(w io.Writer, bad []bench.Comparison, old, cand *bench.Report, diff diffFunc, top int) {
 	suites := map[string]bool{}
 	var order []string
 	for _, c := range bad {
@@ -257,7 +266,7 @@ func attribute(w io.Writer, bad []bench.Comparison, old, cand *bench.Report, rin
 			order = append(order, c.Suite)
 		}
 	}
-	if ring == nil {
+	if diff == nil {
 		fmt.Fprintln(os.Stderr, "bcebench: no -profile-dir; rerun both sides with -profile-dir to attribute regressions")
 		return
 	}
@@ -268,31 +277,11 @@ func attribute(w io.Writer, bad []bench.Comparison, old, cand *bench.Report, rin
 				suite, oldRef != nil, candRef != nil)
 			continue
 		}
-		d, err := diffRefs(ring, oldRef, candRef)
+		d, err := diff(oldRef.Digest, candRef.Digest)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bcebench: suite %q: %v\n", suite, err)
 			continue
 		}
 		fmt.Fprintf(w, "\nattribution for suite %q:\n%s", suite, d.Table(top))
 	}
-}
-
-func diffRefs(ring *prof.Ring, oldRef, candRef *bench.ProfileRef) (*prof.Delta, error) {
-	oldData, err := ring.Get(oldRef.Digest)
-	if err != nil {
-		return nil, err
-	}
-	candData, err := ring.Get(candRef.Digest)
-	if err != nil {
-		return nil, err
-	}
-	oldProf, err := prof.Parse(oldData)
-	if err != nil {
-		return nil, err
-	}
-	candProf, err := prof.Parse(candData)
-	if err != nil {
-		return nil, err
-	}
-	return prof.Diff(oldProf, candProf)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,34 +12,25 @@ import (
 
 // TestAttributeNamesRegressedSymbol drives the regression-attribution
 // path end to end without running a benchmark: two hand-built reports
-// reference CPU profiles stored in a temporary ring, the candidate's
-// profile spends four times as long in one perceptron kernel, and the
-// attribution table printed for the regressed suite must name that
-// kernel.
+// reference CPU profiles by digest, the candidate's profile spends four
+// times as long in one perceptron kernel, and the attribution table
+// printed for the regressed suite must name that kernel.
 func TestAttributeNamesRegressedSymbol(t *testing.T) {
-	ring, err := prof.OpenRing(t.TempDir(), 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const kernel = "bce/internal/perceptron.dotKernel"
+	profiles := map[string]*prof.Profile{}
 	put := func(kernelNs int64) string {
-		t.Helper()
-		p := &prof.Profile{
+		digest := fmt.Sprintf("kernel-%d", kernelNs)
+		profiles[digest] = &prof.Profile{
 			SampleTypes: []prof.ValueType{{Type: "cpu", Unit: "nanoseconds"}},
 			Samples: []prof.Sample{
 				{Stack: []prof.Frame{{Function: kernel}, {Function: "testing.(*B).runN"}}, Values: []int64{kernelNs}},
 				{Stack: []prof.Frame{{Function: "runtime.mallocgc"}, {Function: "testing.(*B).runN"}}, Values: []int64{5e6}},
 			},
 		}
-		data, err := p.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		digest, err := ring.Put(data)
-		if err != nil {
-			t.Fatal(err)
-		}
 		return digest
+	}
+	diff := func(base, cand string) (*prof.Delta, error) {
+		return prof.Diff(profiles[base], profiles[cand])
 	}
 	report := func(nsPerOp float64, digest string) *bench.Report {
 		r := bench.NewReport()
@@ -53,9 +45,9 @@ func TestAttributeNamesRegressedSymbol(t *testing.T) {
 		t.Fatalf("regressions = %+v, want the one kernel benchmark", bad)
 	}
 	var out bytes.Buffer
-	attribute(&out, bad, old, cand, ring, 10)
+	attribute(&out, bad, old, cand, diff, 10)
 	got := out.String()
-	for _, want := range []string{`attribution for suite "kernel"`, "profile delta", kernel} {
+	for _, want := range []string{`attribution for suite "kernel"`, "profile delta", kernel, "+30.0ms"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("attribution output lacks %q:\n%s", want, got)
 		}

@@ -42,7 +42,7 @@ func main() {
 		manifestTo = flag.String("manifest", "", "write a run manifest (provenance + per-benchmark rates) to this file")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		logFormat  = flag.String("log-format", "text", "log output format: text or json")
-		profFlags  = prof.RegisterFlags(nil)
+		profDir    = prof.RegisterFlags()
 		version    = flag.Bool("version", false, "print the bce_build_info identity line and exit")
 	)
 	flag.Parse()
@@ -59,10 +59,7 @@ func main() {
 		fmt.Println(telemetry.BuildInfoLine())
 		return
 	}
-	profOpts := profFlags.Options()
-	profOpts.Sweeps = true
-	profOpts.Logger = logger
-	capturer, stopProf, err := prof.Enable(profOpts)
+	stopProf, err := prof.Enable(*profDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bcecal:", err)
 		os.Exit(1)
@@ -71,7 +68,6 @@ func main() {
 	if *debugAddr != "" {
 		srv, err := telemetry.StartDebug(*debugAddr, map[string]func() any{
 			"bce_runner": func() any { return runner.LiveSnapshot() },
-			"bce_prof":   capturer.DebugVar(),
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bcecal:", err)
@@ -112,7 +108,8 @@ func main() {
 		os.Exit(1)
 	}
 	if mb != nil {
-		mb.AddProfiles(capturer.Records()...)
+		// Stop profiling first so the manifest records the profiles.
+		mb.AddProfiles(stopProf()...)
 		if err := mb.WriteFile(*manifestTo, 0, 0); err != nil {
 			fmt.Fprintln(os.Stderr, "bcecal:", err)
 			os.Exit(1)

@@ -42,12 +42,12 @@ import (
 
 func main() {
 	var (
-		target    = flag.String("target", "", "host:port to forward to (required)")
-		schedule  = flag.String("schedule", "", "path to the fault-schedule JSON file (required)")
-		addrFile  = flag.String("addr-file", "", "write the proxy's listen address to this file (optional)")
-		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		profFlags = prof.RegisterFlags(nil)
-		version   = flag.Bool("version", false, "print the bce_build_info identity line and exit")
+		target   = flag.String("target", "", "host:port to forward to (required)")
+		schedule = flag.String("schedule", "", "path to the fault-schedule JSON file (required)")
+		addrFile = flag.String("addr-file", "", "write the proxy's listen address to this file (optional)")
+		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
+		profDir  = prof.RegisterFlags()
+		version  = flag.Bool("version", false, "print the bce_build_info identity line and exit")
 	)
 	flag.Parse()
 	telemetry.RegisterBuildLabel("revision", manifest.ShortRevision())
@@ -67,16 +67,7 @@ func main() {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	// Process-mode profiling: one capture window spanning the proxy's
-	// lifetime (the interesting cost here is the forwarding goroutines,
-	// not any sweep phase).
-	_, stopProf, err := prof.Enable(prof.EnableOptions{
-		Dir:           *profFlags.Dir,
-		RateHz:        *profFlags.Rate,
-		MutexFraction: *profFlags.Mutex,
-		BlockRate:     *profFlags.Block,
-		Logger:        logger,
-	})
+	stopProf, err := prof.Enable(*profDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bcenetproxy:", err)
 		os.Exit(2)

@@ -12,8 +12,9 @@
 //
 // When comparing two manifests that carry profile records (runs made
 // with -profile-dir), adding -profile-dir here attributes wall/CPU
-// drift between the runs: matching capture phases are diffed into
-// per-function deltas and printed alongside the metric drift table.
+// drift between the runs: the two runs' CPU profiles, and their heap
+// snapshots, are diffed into per-function deltas and printed alongside
+// the metric drift table.
 //
 // Several manifests can be ingested at once (e.g. a bcetables sweep
 // plus a bcecal run); later files win where experiments overlap. The
@@ -42,8 +43,8 @@ func main() {
 		compare    = flag.Bool("compare", false, "diff two manifests (old new) instead of rendering a scorecard")
 		tol        = flag.Float64("tol", 1e-9, "drift tolerance in the metric's own unit (simulations are deterministic, so near-zero is exact)")
 		quiet      = flag.Bool("quiet", false, "suppress the text scorecard on stdout")
-		profFlags  = prof.RegisterFlags(nil)
-		profileTop = flag.Int("profile-top", 10, "symbols per phase in the -compare profile attribution table")
+		profDir    = prof.RegisterFlags()
+		profileTop = flag.Int("profile-top", 10, "symbols per profile in the -compare attribution table")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		logFormat  = flag.String("log-format", "text", "log output format: text or json")
 		version    = flag.Bool("version", false, "print the bce_build_info identity line and exit")
@@ -62,7 +63,7 @@ func main() {
 		return
 	}
 	if err := run(flag.Args(), *jsonOut, *htmlOut, *baseline, *compare, *tol, *quiet,
-		*profFlags.Dir, *profileTop); err != nil {
+		*profDir, *profileTop); err != nil {
 		fmt.Fprintln(os.Stderr, "bcereport:", err)
 		os.Exit(1)
 	}
@@ -150,9 +151,10 @@ func run(args []string, jsonOut, htmlOut, baseline string, compare bool, tol flo
 // attributeDrift explains where wall/CPU time moved between two
 // manifests: it prints the headline wall/CPU deltas, then — when both
 // manifests carry profile records and -profile-dir holds the bytes —
-// a per-function delta table for every capture phase present on both
-// sides. Purely advisory: problems degrade to stderr notes, never an
-// exit status, because the drift verdict above is authoritative.
+// a per-function delta table for every profile kind (cpu, heap)
+// present on both sides. Purely advisory: problems degrade to stderr
+// notes, never an exit status, because the drift verdict above is
+// authoritative.
 func attributeDrift(old, new *manifest.Manifest, profileDir string, top int) {
 	if old.WallSeconds > 0 {
 		fmt.Printf("wall %.2fs -> %.2fs (%+.1f%%), cpu %.2fs -> %.2fs\n",
@@ -170,54 +172,32 @@ func attributeDrift(old, new *manifest.Manifest, profileDir string, top int) {
 		fmt.Fprintln(os.Stderr, "bcereport: note: manifests carry profiles; pass -profile-dir to attribute the drift per function")
 		return
 	}
-	ring, err := prof.OpenRing(profileDir, 0, 0)
+	ring, err := prof.OpenRing(profileDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bcereport: note:", err)
 		return
 	}
-	// Match capture windows by (phase, kind): sweep windows are named
-	// deterministically ("sweep(jobs=128)#3"), so two runs of the same
-	// configuration pair up exactly.
-	type key struct{ phase, kind string }
-	oldByKey := map[key]prof.Record{}
+	// Each process stores one profile per kind, so the kinds pair the
+	// two runs' profiles exactly.
+	oldByKind := map[string]string{}
 	for _, r := range old.Profiles {
-		oldByKey[key{r.Phase, r.Kind}] = r
+		oldByKind[r.Kind] = r.Digest
 	}
 	matched := 0
 	for _, nr := range new.Profiles {
-		or, ok := oldByKey[key{nr.Phase, nr.Kind}]
-		if !ok || nr.Kind != "cpu" {
+		od, ok := oldByKind[nr.Kind]
+		if !ok {
 			continue
 		}
-		d, err := diffDigests(ring, or.Digest, nr.Digest)
+		d, err := ring.Diff(od, nr.Digest)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bcereport: note: phase %s: %v\n", nr.Phase, err)
+			fmt.Fprintf(os.Stderr, "bcereport: note: %s profile: %v\n", nr.Kind, err)
 			continue
 		}
 		matched++
-		fmt.Printf("\nattribution for phase %s:\n%s", nr.Phase, d.Table(top))
+		fmt.Printf("\nattribution for %s profile:\n%s", nr.Kind, d.Table(top))
 	}
 	if matched == 0 {
-		fmt.Fprintln(os.Stderr, "bcereport: note: no cpu capture phase is present in both manifests with bytes in the ring")
+		fmt.Fprintln(os.Stderr, "bcereport: note: no profile kind is present in both manifests with bytes in the ring")
 	}
-}
-
-func diffDigests(ring *prof.Ring, oldDigest, newDigest string) (*prof.Delta, error) {
-	oldData, err := ring.Get(oldDigest)
-	if err != nil {
-		return nil, err
-	}
-	newData, err := ring.Get(newDigest)
-	if err != nil {
-		return nil, err
-	}
-	oldProf, err := prof.Parse(oldData)
-	if err != nil {
-		return nil, err
-	}
-	newProf, err := prof.Parse(newData)
-	if err != nil {
-		return nil, err
-	}
-	return prof.Diff(oldProf, newProf)
 }

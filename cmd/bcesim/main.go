@@ -65,7 +65,7 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "serve pprof + expvar + live sweep stats on this address (e.g. localhost:6060)")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		logFormat = flag.String("log-format", "text", "log output format: text or json")
-		profFlags = prof.RegisterFlags(nil)
+		profDir   = prof.RegisterFlags()
 		version   = flag.Bool("version", false, "print the bce_build_info identity line and exit")
 	)
 	flag.Parse()
@@ -84,12 +84,7 @@ func main() {
 		return
 	}
 
-	// Process-mode profiling: one capture window spanning the whole
-	// invocation (a bcesim run is one unit of work, unlike the sweep
-	// drivers).
-	profOpts := profFlags.Options()
-	profOpts.Logger = logger
-	capturer, stopProf, err := prof.Enable(profOpts)
+	stopProf, err := prof.Enable(*profDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bcesim:", err)
 		os.Exit(2)
@@ -99,7 +94,6 @@ func main() {
 	if *debugAddr != "" {
 		srv, err := telemetry.StartDebug(*debugAddr, map[string]func() any{
 			"bce_runner": func() any { return runner.LiveSnapshot() },
-			"bce_prof":   capturer.DebugVar(),
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bcesim:", err)
@@ -124,8 +118,8 @@ func main() {
 			ls := runner.LiveSnapshot()
 			fmt.Fprintf(os.Stderr, "bcesim: interrupted: %d simulations finished before shutdown\n", ls.JobsDone)
 		}
-		// Close the capture window explicitly: a failed run's profile
-		// is the one worth keeping, and os.Exit skips defers.
+		// Store the profiles explicitly: a failed run's profile is the
+		// one worth keeping, and os.Exit skips defers.
 		stopProf()
 		fmt.Fprintln(os.Stderr, "bcesim:", err)
 		os.Exit(1)

@@ -92,7 +92,7 @@ func main() {
 		brkProbes  = flag.Int("breaker-probes", 0, "failed half-open probes before a tripped worker is declared permanently lost (0 = default 6)")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		logFormat  = flag.String("log-format", "text", "log output format: text or json")
-		profFlags  = prof.RegisterFlags(nil)
+		profDir    = prof.RegisterFlags()
 		version    = flag.Bool("version", false, "print the bce_build_info identity line and exit")
 	)
 	flag.Parse()
@@ -112,13 +112,9 @@ func main() {
 		return
 	}
 
-	// Continuous profiling in sweep mode: every runner.Map sweep
-	// becomes a capture window into the -profile-dir ring, and the
-	// manifest (if any) records the digests.
-	profOpts := profFlags.Options()
-	profOpts.Sweeps = true
-	profOpts.Logger = logger
-	capturer, stopProf, err := prof.Enable(profOpts)
+	// One CPU profile for the whole invocation into the -profile-dir
+	// ring; the manifest (if any) records the digests.
+	stopProf, err := prof.Enable(*profDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bcetables:", err)
 		os.Exit(1)
@@ -156,7 +152,6 @@ func main() {
 				}
 				return nil
 			},
-			"bce_prof": capturer.DebugVar(),
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bcetables:", err)
@@ -231,6 +226,7 @@ func main() {
 			interrupted()
 		}
 		core.CloseCheckpoint(false)
+		stopProf()
 		fmt.Fprintln(os.Stderr, "bcetables:", err)
 		os.Exit(1)
 	}
@@ -253,7 +249,7 @@ func main() {
 			breakerCooldown:  *brkCool,
 			breakerProbes:    *brkProbes,
 		}
-		if err := distribute(ctx, urls, *exp, *bench, *csv, sz, mb, *distBatch, *jobTimeout, *retries, *traceSpans, tuning, capturer); err != nil {
+		if err := distribute(ctx, urls, *exp, *bench, *csv, sz, mb, *distBatch, *jobTimeout, *retries, *traceSpans, tuning); err != nil {
 			fail(err)
 		}
 	}
@@ -265,7 +261,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bcetables: checkpoint:", err)
 	}
 	if mb != nil {
-		mb.AddProfiles(capturer.Records()...)
+		// Stop profiling first so the manifest records the profiles.
+		mb.AddProfiles(stopProf()...)
 		hits, misses := core.ResultCacheStats()
 		if err := mb.WriteFile(*manifestTo, hits, misses); err != nil {
 			fmt.Fprintln(os.Stderr, "bcetables:", err)
@@ -302,12 +299,6 @@ func splitList(s string) []string {
 	return out
 }
 
-// distribute runs the remote leg of a distributed sweep: plan the job
-// space with a silent recording pass, ping the workers, shard and
-// dispatch, and inject every remote result into the local cache (and
-// any attached store/journal) under its cache key. Jobs whose results
-// are already stored — a resumed coordinator — are excluded from the
-// plan, so only missing work is dispatched.
 // distTuning carries the self-healing knobs (-hedge,
 // -adaptive-deadline, -breaker-*) from flags into dist.Options.
 type distTuning struct {
@@ -318,9 +309,15 @@ type distTuning struct {
 	breakerProbes    int
 }
 
+// distribute runs the remote leg of a distributed sweep: plan the job
+// space with a silent recording pass, ping the workers, shard and
+// dispatch, and inject every remote result into the local cache (and
+// any attached store/journal) under its cache key. Jobs whose results
+// are already stored — a resumed coordinator — are excluded from the
+// plan, so only missing work is dispatched.
 func distribute(ctx context.Context, urls []string, exp, bench string, csv bool,
 	sz core.Sizes, mb *manifest.Builder, batch int, jobTimeout time.Duration, retries int,
-	traceSpans string, tuning distTuning, capturer *prof.Capturer) error {
+	traceSpans string, tuning distTuning) error {
 	log := slog.Default().With("component", "coordinator")
 	var tracer *telemetry.Tracer
 	if traceSpans != "" {
@@ -385,45 +382,8 @@ func distribute(ctx context.Context, urls []string, exp, bench string, csv bool,
 	if len(plan.Jobs) == 0 {
 		return nil
 	}
-	// Mid-sweep fleet profiling: while batches are in flight, scrape
-	// every worker's /debug/pprof/profile and merge the results into
-	// one per-worker-labeled bundle in the profile ring. Best-effort
-	// by design — a sweep shorter than the scrape window, or a worker
-	// that refuses, degrades observability, never the sweep.
-	const fleetProfileSeconds = 1
-	scrapeDone := make(chan struct{})
-	if capturer != nil {
-		scrapeCtx, cancelScrape := context.WithTimeout(ctx, 15*time.Second)
-		go func() {
-			defer close(scrapeDone)
-			defer cancelScrape()
-			merged, notes, err := dist.FleetProfile(scrapeCtx, nil, urls, fleetProfileSeconds)
-			for _, n := range notes {
-				log.Warn("fleet profile scrape", "note", n)
-			}
-			if err != nil {
-				log.Warn("fleet profile unavailable", "err", err)
-				return
-			}
-			data, err := merged.Encode()
-			if err != nil {
-				log.Warn("fleet profile encode failed", "err", err)
-				return
-			}
-			rec, err := capturer.Store("fleet", "cpu", "", fleetProfileSeconds, data)
-			if err != nil {
-				log.Warn("fleet profile store failed", "err", err)
-				return
-			}
-			log.Info("fleet profile captured",
-				"workers", len(urls), "digest", rec.Digest, "bytes", rec.Bytes)
-		}()
-	} else {
-		close(scrapeDone)
-	}
 	start := time.Now()
 	runErr := coord.Run(ctx, plan.Jobs, plan.Keys)
-	<-scrapeDone
 	if tracer != nil {
 		// Write whatever spans were collected even on failure — a partial
 		// timeline is exactly what debugs a failed sweep.

@@ -27,10 +27,10 @@ import (
 func main() {
 	args := os.Args[1:]
 	// Global options, before the subcommand: -debug-addr <addr>,
-	// -log-level <level>, -log-format <format>, -profile-dir <dir>,
-	// -profile-rate <hz>, and the zero-operand -version.
+	// -log-level <level>, -log-format <format>, -profile-dir <dir>, and
+	// the zero-operand -version.
 	debugAddr, logLevel, logFormat := "", "info", "text"
-	profileDir, profileRate, version := "", 0, false
+	profileDir, version := "", false
 globals:
 	for len(args) >= 1 {
 		if args[0] == "-version" {
@@ -50,11 +50,6 @@ globals:
 			logFormat = args[1]
 		case "-profile-dir":
 			profileDir = args[1]
-		case "-profile-rate":
-			if _, err := fmt.Sscanf(args[1], "%d", &profileRate); err != nil {
-				fmt.Fprintf(os.Stderr, "bcetrace: bad -profile-rate %q\n", args[1])
-				os.Exit(2)
-			}
 		default:
 			break globals
 		}
@@ -73,20 +68,14 @@ globals:
 		fmt.Println(telemetry.BuildInfoLine())
 		return
 	}
-	// Process-mode profiling: one window around whichever subcommand
-	// runs.
-	capturer, stopProf, err := prof.Enable(prof.EnableOptions{
-		Dir: profileDir, RateHz: profileRate, Logger: logger,
-	})
+	stopProf, err := prof.Enable(profileDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bcetrace:", err)
 		os.Exit(2)
 	}
 	defer stopProf()
 	if debugAddr != "" {
-		srv, err := telemetry.StartDebug(debugAddr, map[string]func() any{
-			"bce_prof": capturer.DebugVar(),
-		})
+		srv, err := telemetry.StartDebug(debugAddr, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bcetrace:", err)
 			os.Exit(1)
@@ -122,7 +111,7 @@ globals:
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   bcetrace [-debug-addr <addr>] [-log-level <level>] [-log-format <fmt>]
-           [-profile-dir <dir>] [-profile-rate <hz>] [-version] <command>
+           [-profile-dir <dir>] [-version] <command>
   bcetrace gen  -bench <name> -n <uops> -o <file>   generate a trace
   bcetrace dump -i <file> [-n <uops>] [-skip <uops>] print uops
   bcetrace stat -i <file>                            summarize a trace`)

@@ -47,7 +47,7 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "serve pprof + expvar + live stats on this address; Prometheus text format on /metrics")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		logFormat = flag.String("log-format", "text", "log output format: text or json")
-		profFlags = prof.RegisterFlags(nil)
+		profDir   = prof.RegisterFlags()
 		version   = flag.Bool("version", false, "print the bce_build_info identity line and exit")
 	)
 	flag.Parse()
@@ -66,15 +66,11 @@ func main() {
 		return
 	}
 
-	// Sweep-mode profiling: each batch's runner.Map becomes a capture
-	// window. With an empty -profile-dir this still applies
-	// -profile-mutex/-profile-block process-wide, which is what
-	// populates /debug/pprof/mutex and /debug/pprof/block for remote
-	// scrapers.
-	profOpts := profFlags.Options()
-	profOpts.Sweeps = true
-	profOpts.Logger = logger
-	capturer, stopProf, err := prof.Enable(profOpts)
+	// With -profile-dir the worker profiles its whole lifetime into its
+	// own ring, stored at graceful shutdown. That holds the CPU
+	// profiler, so /debug/pprof/profile on the API port answers only
+	// for workers started without it.
+	stopProf, err := prof.Enable(*profDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bceworker:", err)
 		os.Exit(1)
@@ -95,7 +91,6 @@ func main() {
 				hits, misses := core.ResultCacheStats()
 				return map[string]uint64{"hits": hits, "misses": misses}
 			},
-			"bce_prof": capturer.DebugVar(),
 		})
 		if err != nil {
 			logger.Error("debug endpoint failed", "err", err)

@@ -101,12 +101,12 @@ func (w *Worker) Handler() http.Handler {
 		fmt.Fprintln(rw, "ok")
 	}))
 	mux.Handle("/metrics", telemetry.GetOnly(w.serveMetrics))
-	// The Go pprof surface on the API port: the coordinator's
-	// mid-sweep fleet scrape (FleetProfile) hits /debug/pprof/profile
-	// on the base URL it already has, and /debug/pprof/{heap,mutex,
-	// block,...} come along via the index handler. Mutex/block pages
-	// are only populated when the worker was started with
-	// -profile-mutex / -profile-block.
+	// The Go pprof surface on the API port, so a fleet can be profiled
+	// from the base URLs the coordinator already has: `go tool pprof`
+	// fetches /debug/pprof/profile from each worker and merges the
+	// results itself. /debug/pprof/{heap,goroutine,...} come along via
+	// the index handler. A worker started with -profile-dir already
+	// holds the CPU profiler and stores its own profile instead.
 	mux.Handle("/debug/pprof/", telemetry.GetOnly(pprof.Index))
 	mux.Handle("/debug/pprof/profile", telemetry.GetOnly(pprof.Profile))
 	return mux

@@ -76,13 +76,13 @@ type Manifest struct {
 	Runner *runner.LiveStats `json:"runner,omitempty"`
 	// Cache is the timing-result cache tally for the invocation.
 	Cache *CacheStats `json:"cache,omitempty"`
-	// Profiles lists the profiles captured during the run: per-window
-	// digests into the content-addressed profile ring plus capture
-	// metadata (see internal/prof). Operational provenance, like
-	// Worker on jobs: it never feeds the config fingerprint, and
-	// result comparisons ignore it — but `bcereport -compare` uses the
-	// digests to attribute wall/CPU drift between two manifests when
-	// handed the ring that holds them.
+	// Profiles lists the profiles the process stored with -profile-dir:
+	// its CPU profile and exit heap snapshot, as digests into the
+	// content-addressed profile ring (see internal/prof). Operational
+	// provenance, like Worker on jobs: it never feeds the config
+	// fingerprint, and result comparisons ignore it — but `bcereport
+	// -compare` uses the digests to attribute wall/CPU drift between
+	// two manifests when handed the ring that holds them.
 	Profiles []prof.Record `json:"profiles,omitempty"`
 	// Notes carries small tool-specific annotations.
 	Notes map[string]string `json:"notes,omitempty"`
@@ -228,8 +228,8 @@ func (b *Builder) AddResult(name string, v any) error {
 	return nil
 }
 
-// AddProfiles appends capture records from the continuous profiler.
-// Call before Finish; records are kept in capture order.
+// AddProfiles appends the process's profile records (prof.Enable's
+// stop). Call before Finish; records are kept in the order given.
 func (b *Builder) AddProfiles(recs ...prof.Record) {
 	if len(recs) == 0 {
 		return

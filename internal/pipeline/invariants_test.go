@@ -144,8 +144,6 @@ func TestInvariantsUnderRandomMachines(t *testing.T) {
 		}
 		s := New(Options{Machine: m, Estimator: est, Gating: pol}, gen(t, bench))
 		target := uint64(4000)
-		start := s.ctr.retired.Value()
-		_ = start
 		for steps := 0; s.ctr.retired.Value() < target; steps++ {
 			s.step()
 			if steps%512 == 0 {

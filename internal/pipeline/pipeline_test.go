@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"bce/internal/confidence"
@@ -28,25 +29,42 @@ func run(t testing.TB, opt Options, bench string, warm, measure uint64) metrics.
 	return s.Run(measure)
 }
 
+// randomTrials yields the default machine on gzip at full length, then
+// n random machine shapes on random benchmarks at shorter lengths —
+// the trials a metamorphic property runs over.
+func randomTrials(t *testing.T, seed int64, n int, fn func(trial int, m config.Machine, bench string, warm, measure uint64)) {
+	t.Helper()
+	fn(0, config.Baseline40x4(), "gzip", 5000, 20000)
+	rng := rand.New(rand.NewSource(seed))
+	for trial := 1; trial <= n; trial++ {
+		fn(trial, randomMachine(t, rng), workload.Names()[rng.Intn(12)], 2000, 6000)
+	}
+}
+
+// TestPerfectRunHasNoWrongPath is a property over random machines:
+// oracle prediction never mispredicts, so no machine shape ever fetches
+// or executes a wrong-path uop.
 func TestPerfectRunHasNoWrongPath(t *testing.T) {
-	r := run(t, Options{Perfect: true}, "gzip", 5000, 20000)
-	if r.WrongPathExecuted != 0 {
-		t.Errorf("perfect run executed %d wrong-path uops", r.WrongPathExecuted)
-	}
-	if r.Mispredicts != 0 {
-		t.Errorf("perfect run mispredicted %d branches", r.Mispredicts)
-	}
-	if r.IPC() <= 0.3 {
-		t.Errorf("perfect IPC = %.3f, suspiciously low", r.IPC())
-	}
-	if r.Retired < 20000 {
-		t.Errorf("retired %d < requested", r.Retired)
-	}
-	// Executed can exceed retired only by in-flight uops at the
-	// boundary, not by squashed work.
-	if r.Executed > r.Retired+512 {
-		t.Errorf("perfect run executed %d >> retired %d", r.Executed, r.Retired)
-	}
+	randomTrials(t, 31, 8, func(trial int, m config.Machine, bench string, warm, measure uint64) {
+		r := run(t, Options{Machine: m, Perfect: true}, bench, warm, measure)
+		if r.WrongPathExecuted != 0 {
+			t.Errorf("trial %d (%s, %dw): perfect run executed %d wrong-path uops", trial, bench, m.FetchWidth, r.WrongPathExecuted)
+		}
+		if r.Mispredicts != 0 {
+			t.Errorf("trial %d (%s, %dw): perfect run mispredicted %d branches", trial, bench, m.FetchWidth, r.Mispredicts)
+		}
+		if r.Retired < measure {
+			t.Errorf("trial %d: retired %d < requested %d", trial, r.Retired, measure)
+		}
+		// Executed can exceed retired only by in-flight uops at the
+		// boundary, not by squashed work.
+		if r.Executed > r.Retired+512 {
+			t.Errorf("trial %d: perfect run executed %d >> retired %d", trial, r.Executed, r.Retired)
+		}
+		if trial == 0 && r.IPC() <= 0.3 {
+			t.Errorf("perfect IPC = %.3f, suspiciously low", r.IPC())
+		}
+	})
 }
 
 func TestRealPredictorWastesWork(t *testing.T) {
@@ -73,18 +91,23 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestGatingWithAlwaysHighMatchesBaseline is a property over random
+// machines: an estimator that never reports low confidence never gates,
+// so PL gating with it must leave the run exactly as ungated.
 func TestGatingWithAlwaysHighMatchesBaseline(t *testing.T) {
-	base := run(t, Options{}, "gzip", 5000, 20000)
-	g := run(t, Options{
-		Estimator: confidence.AlwaysHigh{},
-		Gating:    gating.PL(1),
-	}, "gzip", 5000, 20000)
-	if base.Cycles != g.Cycles || base.Executed != g.Executed {
-		t.Errorf("always-high gating changed timing: base %v vs %v", base, g)
-	}
-	if g.GatedCycles != 0 {
-		t.Errorf("always-high gated %d cycles", g.GatedCycles)
-	}
+	randomTrials(t, 77, 8, func(trial int, m config.Machine, bench string, warm, measure uint64) {
+		pol := gating.PL(1 + trial%3)
+		base := run(t, Options{Machine: m}, bench, warm, measure)
+		g := run(t, Options{Machine: m, Estimator: confidence.AlwaysHigh{}, Gating: pol}, bench, warm, measure)
+		if base.Retired != g.Retired || base.Cycles != g.Cycles || base.Executed != g.Executed ||
+			base.WrongPathExecuted != g.WrongPathExecuted {
+			t.Errorf("trial %d (%s, PL%d, %dw): always-high gating changed the run:\n base:  %+v\n gated: %+v",
+				trial, bench, pol.Threshold, m.FetchWidth, base, g)
+		}
+		if g.GatedCycles != 0 {
+			t.Errorf("trial %d: always-high gated %d cycles", trial, g.GatedCycles)
+		}
+	})
 }
 
 func TestGatingWithOracleEstimator(t *testing.T) {

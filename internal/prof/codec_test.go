@@ -9,112 +9,6 @@ import (
 	"time"
 )
 
-// testProfile builds a small two-sample CPU profile exercising every
-// model field the encoder serializes.
-func testProfile() *Profile {
-	return &Profile{
-		SampleTypes:       []ValueType{{Type: "samples", Unit: "count"}, {Type: "cpu", Unit: "nanoseconds"}},
-		DefaultSampleType: "cpu",
-		Samples: []Sample{
-			{
-				Stack: []Frame{
-					{Function: "bce/internal/perceptron.dotGeneric", File: "dot.go", Line: 42},
-					{Function: "bce/internal/core.(*Simulator).Step", File: "sim.go", Line: 310},
-				},
-				Values: []int64{3, 30_000_000},
-				Labels: map[string]string{"worker": "w0"},
-			},
-			{
-				Stack:     []Frame{{Function: "runtime.mallocgc", File: "malloc.go", Line: 1}},
-				Values:    []int64{1, 10_000_000},
-				NumLabels: map[string]int64{"bytes": 4096},
-			},
-		},
-		TimeNanos:     1_700_000_000_000_000_000,
-		DurationNanos: 2_000_000_000,
-		PeriodType:    ValueType{Type: "cpu", Unit: "nanoseconds"},
-		Period:        10_000_000,
-		Comments:      []string{"worker=w0"},
-	}
-}
-
-func TestEncodeParseRoundTrip(t *testing.T) {
-	want := testProfile()
-	data, err := want.Encode()
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	if !IsGzipped(data) {
-		t.Fatalf("Encode output is not gzipped")
-	}
-	got, err := Parse(data)
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	if !reflect.DeepEqual(got.SampleTypes, want.SampleTypes) {
-		t.Errorf("SampleTypes = %+v, want %+v", got.SampleTypes, want.SampleTypes)
-	}
-	if got.DefaultSampleType != want.DefaultSampleType {
-		t.Errorf("DefaultSampleType = %q, want %q", got.DefaultSampleType, want.DefaultSampleType)
-	}
-	if got.TimeNanos != want.TimeNanos || got.DurationNanos != want.DurationNanos {
-		t.Errorf("times = (%d, %d), want (%d, %d)",
-			got.TimeNanos, got.DurationNanos, want.TimeNanos, want.DurationNanos)
-	}
-	if got.PeriodType != want.PeriodType || got.Period != want.Period {
-		t.Errorf("period = (%+v, %d), want (%+v, %d)", got.PeriodType, got.Period, want.PeriodType, want.Period)
-	}
-	if !reflect.DeepEqual(got.Comments, want.Comments) {
-		t.Errorf("Comments = %v, want %v", got.Comments, want.Comments)
-	}
-	if len(got.Samples) != len(want.Samples) {
-		t.Fatalf("got %d samples, want %d", len(got.Samples), len(want.Samples))
-	}
-	for i := range want.Samples {
-		g, w := got.Samples[i], want.Samples[i]
-		if !reflect.DeepEqual(g.Stack, w.Stack) {
-			t.Errorf("sample %d stack = %+v, want %+v", i, g.Stack, w.Stack)
-		}
-		if !reflect.DeepEqual(g.Values, w.Values) {
-			t.Errorf("sample %d values = %v, want %v", i, g.Values, w.Values)
-		}
-		if !reflect.DeepEqual(g.Labels, w.Labels) {
-			t.Errorf("sample %d labels = %v, want %v", i, g.Labels, w.Labels)
-		}
-		if !reflect.DeepEqual(g.NumLabels, w.NumLabels) {
-			t.Errorf("sample %d num labels = %v, want %v", i, g.NumLabels, w.NumLabels)
-		}
-	}
-	if got.Total() != 40_000_000 {
-		t.Errorf("Total = %d, want 40000000", got.Total())
-	}
-	if got.Unit() != "nanoseconds" {
-		t.Errorf("Unit = %q, want nanoseconds", got.Unit())
-	}
-}
-
-func TestEncodeDeterministic(t *testing.T) {
-	a, err := testProfile().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := testProfile().Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Error("two encodings of the same profile differ")
-	}
-}
-
-func TestEncodeRejectsValueCountMismatch(t *testing.T) {
-	p := testProfile()
-	p.Samples[0].Values = []int64{1}
-	if _, err := p.Encode(); err == nil {
-		t.Error("Encode accepted a sample whose value count disagrees with SampleTypes")
-	}
-}
-
 // burnCPU gives the sampling profiler something attributable; the
 // result defeats dead-code elimination.
 func burnCPU(iters int) float64 {
@@ -151,24 +45,121 @@ func TestParseRealCPUProfile(t *testing.T) {
 	if !hasCPU {
 		t.Errorf("sample types %+v missing cpu/nanoseconds", p.SampleTypes)
 	}
-	if p.Period <= 0 {
-		t.Errorf("Period = %d, want > 0", p.Period)
+	if p.Unit() != "nanoseconds" {
+		t.Errorf("Unit = %q, want nanoseconds (the cpu column)", p.Unit())
 	}
 	// 300ms of spinning at 100Hz yields samples on any but a absurdly
 	// overloaded machine; verify the stacks symbolized.
 	if len(p.Samples) == 0 {
 		t.Skip("no samples collected (machine too loaded?); symbol check skipped")
 	}
-	found := false
 	for _, s := range p.Samples {
-		for _, f := range s.Stack {
-			if f.Function == "bce/internal/prof.burnCPU" {
-				found = true
+		if len(s.Values) != len(p.SampleTypes) {
+			t.Fatalf("sample has %d values for %d sample types", len(s.Values), len(p.SampleTypes))
+		}
+	}
+	// Stacks are leaf first: burnCPU (inlined or not) sits below its
+	// caller, and its time is flat time of its own.
+	const burn, caller = "bce/internal/prof.burnCPU", "bce/internal/prof.TestParseRealCPUProfile"
+	ordered := false
+	for _, s := range p.Samples {
+		for i, f := range s.Stack {
+			if f.Function == burn {
+				for _, g := range s.Stack[i+1:] {
+					if g.Function == caller {
+						ordered = true
+					}
+				}
 			}
 		}
 	}
-	if !found {
-		t.Error("no sample stack contains bce/internal/prof.burnCPU")
+	if !ordered {
+		t.Errorf("no sample stack has %s below %s", burn, caller)
+	}
+	agg := Aggregate(p)
+	if agg[burn].Flat <= 0 || agg[burn].Cum > p.Total() || agg[caller].Cum < agg[burn].Cum {
+		t.Errorf("Aggregate: %s %+v, %s %+v, total %d", burn, agg[burn], caller, agg[caller], p.Total())
+	}
+}
+
+// wire builds protobuf bytes field by field, for fixtures the Go
+// runtime never emits (inlined frames in one location, unsymbolized
+// addresses, an explicit default_sample_type).
+type wire []byte
+
+func (w wire) varint(v uint64) wire {
+	for v >= 0x80 {
+		w = append(w, byte(v)|0x80)
+		v >>= 7
+	}
+	return append(w, byte(v))
+}
+
+func (w wire) num(field int, v uint64) wire {
+	return w.varint(uint64(field)<<3 | wireVarint).varint(v)
+}
+
+func (w wire) msg(field int, b []byte) wire {
+	return append(w.varint(uint64(field)<<3|wireLen).varint(uint64(len(b))), b...)
+}
+
+func (w wire) packed(field int, vs ...uint64) wire {
+	var b wire
+	for _, v := range vs {
+		b = b.varint(v)
+	}
+	return w.msg(field, b)
+}
+
+// TestEncodeParseRoundTrip encodes every profile.proto field the model
+// keeps and checks Parse resolves it, raw and gzipped alike.
+func TestEncodeParseRoundTrip(t *testing.T) {
+	strs := []string{"", "samples", "count", "cpu", "nanoseconds",
+		"bce/internal/perceptron.dotGeneric", "bce/internal/core.(*Simulator).Step", "runtime.mallocgc"}
+	var raw wire
+	for _, s := range strs {
+		raw = raw.msg(6, []byte(s))
+	}
+	raw = raw.msg(1, wire{}.num(1, 1).num(2, 2)).
+		msg(1, wire{}.num(1, 3).num(2, 4)).
+		num(14, 3)
+	for id, name := range []uint64{5, 6, 7} {
+		raw = raw.msg(5, wire{}.num(1, uint64(id+1)).num(2, name))
+	}
+	// Location 1 inlines dotGeneric (deepest first) into Step; location
+	// 2 is mallocgc; location 3 is an unsymbolized address.
+	raw = raw.msg(4, wire{}.num(1, 1).msg(4, wire{}.num(1, 1)).msg(4, wire{}.num(1, 2))).
+		msg(4, wire{}.num(1, 2).msg(4, wire{}.num(1, 3))).
+		msg(4, wire{}.num(1, 3).num(3, 0x4010a0)).
+		msg(2, wire{}.packed(1, 1).packed(2, 3, 30_000_000)).
+		msg(2, wire{}.packed(1, 2, 3).packed(2, 1, 10_000_000))
+	// A third sample carries its location id and values unpacked.
+	raw = raw.msg(2, wire{}.num(1, 3).num(2, 2).num(2, 20_000_000))
+
+	want := &Profile{
+		SampleTypes:       []ValueType{{Type: "samples", Unit: "count"}, {Type: "cpu", Unit: "nanoseconds"}},
+		DefaultSampleType: "cpu",
+		Samples: []Sample{
+			{Stack: []Frame{{Function: strs[5]}, {Function: strs[6]}}, Values: []int64{3, 30_000_000}},
+			{Stack: []Frame{{Function: strs[7]}, {Function: "0x4010a0"}}, Values: []int64{1, 10_000_000}},
+			{Stack: []Frame{{Function: "0x4010a0"}}, Values: []int64{2, 20_000_000}},
+		},
+	}
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write(raw) //nolint:errcheck
+	zw.Close()
+	for name, data := range map[string][]byte{"raw": raw, "gzipped": gz.Bytes()} {
+		got, err := Parse(data)
+		if err != nil {
+			t.Fatalf("Parse(%s): %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Parse(%s) = %+v, want %+v", name, got, want)
+		}
+		if got.Total() != 60_000_000 || got.Unit() != "nanoseconds" {
+			t.Errorf("Parse(%s): Total = %d %s, want 60000000 nanoseconds", name, got.Total(), got.Unit())
+		}
 	}
 }
 

@@ -14,19 +14,18 @@ import (
 // parser and costs zero dependencies.
 //
 //	Profile:  1 sample_type, 2 sample, 4 location, 5 function,
-//	          6 string_table, 9 time_nanos, 10 duration_nanos,
-//	          11 period_type, 12 period, 13 comment,
-//	          14 default_sample_type
-//	Sample:   1 location_id (packed), 2 value (packed), 3 label
-//	Label:    1 key, 2 str, 3 num
+//	          6 string_table, 14 default_sample_type
+//	Sample:   1 location_id (packed), 2 value (packed)
 //	Location: 1 id, 3 address, 4 line
-//	Line:     1 function_id, 2 line
-//	Function: 1 id, 2 name, 4 filename
+//	Line:     1 function_id
+//	Function: 1 id, 2 name
 //	ValueType: 1 type, 2 unit
 //
-// Mappings (field 3) are skipped: every profile in this repo comes
-// from a Go binary we built, so symbolization is already in the
-// function table and address-to-mapping bookkeeping buys nothing.
+// Every other field is skipped. Mappings, file names and line numbers
+// add nothing for profiles of Go binaries the repo built itself,
+// whose function table is already symbolized; labels, timestamps,
+// periods and comments have no reader (Aggregate and Diff work on
+// function names and sample values only).
 
 // Decode limits: a hostile or corrupt profile must fail fast, not
 // allocate unboundedly. Real profiles here are 10KB-2MB.
@@ -152,32 +151,20 @@ func (d *decoder) intField(wire int, fn func(uint64)) error {
 
 type rawValueType struct{ typeIdx, unitIdx int64 }
 
-type rawLabel struct {
-	keyIdx, strIdx int64
-	num            int64
-	hasNum         bool
-}
-
 type rawSample struct {
 	locIDs []uint64
 	values []int64
-	labels []rawLabel
-}
-
-type rawLine struct {
-	funcID uint64
-	line   int64
 }
 
 type rawLocation struct {
 	id      uint64
 	address uint64
-	lines   []rawLine
+	funcIDs []uint64 // one per line record, deepest inlined call first
 }
 
 type rawFunction struct {
-	id               uint64
-	nameIdx, fileIdx int64
+	id      uint64
+	nameIdx int64
 }
 
 // IsGzipped reports whether data starts with the gzip magic.
@@ -222,11 +209,6 @@ func parseUncompressed(data []byte) (*Profile, error) {
 		samples     []rawSample
 		locs        []rawLocation
 		funcs       []rawFunction
-		periodType  rawValueType
-		period      int64
-		timeNanos   int64
-		durNanos    int64
-		comments    []int64
 		defType     int64
 	)
 	d := decoder{data: data}
@@ -236,7 +218,7 @@ func parseUncompressed(data []byte) (*Profile, error) {
 			return nil, err
 		}
 		switch field {
-		case 1, 11: // sample_type, period_type
+		case 1: // sample_type
 			b, err := expectLen(&d, wire)
 			if err != nil {
 				return nil, err
@@ -245,11 +227,7 @@ func parseUncompressed(data []byte) (*Profile, error) {
 			if err != nil {
 				return nil, err
 			}
-			if field == 1 {
-				sampleTypes = append(sampleTypes, vt)
-			} else {
-				periodType = vt
-			}
+			sampleTypes = append(sampleTypes, vt)
 		case 2: // sample
 			b, err := expectLen(&d, wire)
 			if err != nil {
@@ -292,23 +270,7 @@ func parseUncompressed(data []byte) (*Profile, error) {
 				return nil, fmt.Errorf("string table exceeds %d entries", maxStringTable)
 			}
 			strtab = append(strtab, string(b))
-		case 9:
-			if err := d.intField(wire, func(v uint64) { timeNanos = int64(v) }); err != nil {
-				return nil, err
-			}
-		case 10:
-			if err := d.intField(wire, func(v uint64) { durNanos = int64(v) }); err != nil {
-				return nil, err
-			}
-		case 12:
-			if err := d.intField(wire, func(v uint64) { period = int64(v) }); err != nil {
-				return nil, err
-			}
-		case 13:
-			if err := d.intField(wire, func(v uint64) { comments = append(comments, int64(v)) }); err != nil {
-				return nil, err
-			}
-		case 14:
+		case 14: // default_sample_type
 			if err := d.intField(wire, func(v uint64) { defType = int64(v) }); err != nil {
 				return nil, err
 			}
@@ -329,23 +291,10 @@ func parseUncompressed(data []byte) (*Profile, error) {
 		return strtab[idx], nil
 	}
 
-	p := &Profile{TimeNanos: timeNanos, DurationNanos: durNanos, Period: period}
+	p := &Profile{}
 	var err error
 	if p.DefaultSampleType, err = str(defType); err != nil {
 		return nil, err
-	}
-	if p.PeriodType.Type, err = str(periodType.typeIdx); err != nil {
-		return nil, err
-	}
-	if p.PeriodType.Unit, err = str(periodType.unitIdx); err != nil {
-		return nil, err
-	}
-	for _, c := range comments {
-		s, err := str(c)
-		if err != nil {
-			return nil, err
-		}
-		p.Comments = append(p.Comments, s)
 	}
 	for _, vt := range sampleTypes {
 		t, err := str(vt.typeIdx)
@@ -368,20 +317,16 @@ func parseUncompressed(data []byte) (*Profile, error) {
 	framesByLoc := make(map[uint64][]Frame, len(locs))
 	for _, l := range locs {
 		var frames []Frame
-		for _, ln := range l.lines {
-			f, ok := funcByID[ln.funcID]
+		for _, id := range l.funcIDs {
+			f, ok := funcByID[id]
 			if !ok {
-				return nil, fmt.Errorf("location %d references unknown function %d", l.id, ln.funcID)
+				return nil, fmt.Errorf("location %d references unknown function %d", l.id, id)
 			}
 			name, err := str(f.nameIdx)
 			if err != nil {
 				return nil, err
 			}
-			file, err := str(f.fileIdx)
-			if err != nil {
-				return nil, err
-			}
-			frames = append(frames, Frame{Function: name, File: file, Line: ln.line})
+			frames = append(frames, Frame{Function: name})
 		}
 		if len(frames) == 0 {
 			// Unsymbolized: keep the address so stacks stay intact.
@@ -399,27 +344,6 @@ func parseUncompressed(data []byte) (*Profile, error) {
 				return nil, fmt.Errorf("sample references unknown location %d", id)
 			}
 			s.Stack = append(s.Stack, frames...)
-		}
-		for _, lb := range rs.labels {
-			key, err := str(lb.keyIdx)
-			if err != nil {
-				return nil, err
-			}
-			if lb.hasNum {
-				if s.NumLabels == nil {
-					s.NumLabels = map[string]int64{}
-				}
-				s.NumLabels[key] = lb.num
-			} else {
-				val, err := str(lb.strIdx)
-				if err != nil {
-					return nil, err
-				}
-				if s.Labels == nil {
-					s.Labels = map[string]string{}
-				}
-				s.Labels[key] = val
-			}
 		}
 		p.Samples = append(p.Samples, s)
 	}
@@ -469,14 +393,6 @@ func parseSample(b []byte) (rawSample, error) {
 			err = d.intField(wire, func(v uint64) { s.locIDs = append(s.locIDs, v) })
 		case 2:
 			err = d.intField(wire, func(v uint64) { s.values = append(s.values, int64(v)) })
-		case 3:
-			var lb []byte
-			if lb, err = expectLen(&d, wire); err == nil {
-				var l rawLabel
-				if l, err = parseLabel(lb); err == nil {
-					s.labels = append(s.labels, l)
-				}
-			}
 		default:
 			err = d.skip(wire)
 		}
@@ -485,31 +401,6 @@ func parseSample(b []byte) (rawSample, error) {
 		}
 	}
 	return s, nil
-}
-
-func parseLabel(b []byte) (rawLabel, error) {
-	var l rawLabel
-	d := decoder{data: b}
-	for !d.done() {
-		field, wire, err := d.tag()
-		if err != nil {
-			return l, err
-		}
-		switch field {
-		case 1:
-			err = d.intField(wire, func(v uint64) { l.keyIdx = int64(v) })
-		case 2:
-			err = d.intField(wire, func(v uint64) { l.strIdx = int64(v) })
-		case 3:
-			err = d.intField(wire, func(v uint64) { l.num = int64(v); l.hasNum = true })
-		default:
-			err = d.skip(wire)
-		}
-		if err != nil {
-			return l, err
-		}
-	}
-	return l, nil
 }
 
 func parseLocation(b []byte) (rawLocation, error) {
@@ -528,9 +419,9 @@ func parseLocation(b []byte) (rawLocation, error) {
 		case 4:
 			var lb []byte
 			if lb, err = expectLen(&d, wire); err == nil {
-				var ln rawLine
-				if ln, err = parseLine(lb); err == nil {
-					loc.lines = append(loc.lines, ln)
+				var id uint64
+				if id, err = parseLine(lb); err == nil {
+					loc.funcIDs = append(loc.funcIDs, id)
 				}
 			}
 		default:
@@ -543,27 +434,25 @@ func parseLocation(b []byte) (rawLocation, error) {
 	return loc, nil
 }
 
-func parseLine(b []byte) (rawLine, error) {
-	var ln rawLine
+// parseLine returns a Line record's function id.
+func parseLine(b []byte) (uint64, error) {
+	var funcID uint64
 	d := decoder{data: b}
 	for !d.done() {
 		field, wire, err := d.tag()
 		if err != nil {
-			return ln, err
+			return 0, err
 		}
-		switch field {
-		case 1:
-			err = d.intField(wire, func(v uint64) { ln.funcID = v })
-		case 2:
-			err = d.intField(wire, func(v uint64) { ln.line = int64(v) })
-		default:
+		if field == 1 {
+			err = d.intField(wire, func(v uint64) { funcID = v })
+		} else {
 			err = d.skip(wire)
 		}
 		if err != nil {
-			return ln, err
+			return 0, err
 		}
 	}
-	return ln, nil
+	return funcID, nil
 }
 
 func parseFunction(b []byte) (rawFunction, error) {
@@ -579,8 +468,6 @@ func parseFunction(b []byte) (rawFunction, error) {
 			err = d.intField(wire, func(v uint64) { f.id = v })
 		case 2:
 			err = d.intField(wire, func(v uint64) { f.nameIdx = int64(v) })
-		case 4:
-			err = d.intField(wire, func(v uint64) { f.fileIdx = int64(v) })
 		default:
 			err = d.skip(wire)
 		}

@@ -1,23 +1,19 @@
-// Package prof is the continuous-profiling subsystem: it captures
-// sampled CPU/heap/mutex/block profiles around sweep and bench phases
-// with a bounded overhead budget, stores them in a content-addressed
-// ring next to the runner cache, and — the part the rest of the stack
-// leans on — parses the pprof protobuf format and diffs two profiles
-// into per-function flat/cum deltas so a benchmark or manifest
-// regression can name the symbols responsible.
+// Package prof profiles a process and explains where its CPU went. A
+// binary run with -profile-dir records one CPU profile spanning the
+// whole process plus a heap snapshot at exit into a content-addressed
+// ring (Enable, Ring); manifests and bench reports keep only the
+// digests. The rest of the package parses the pprof protobuf format
+// and diffs two profiles into per-function flat/cum deltas, so a
+// benchmark or manifest regression can name the symbols responsible.
 //
 // The package is dependency-free by construction: the pprof wire
-// format is hand-decoded (decode.go) and hand-encoded (encode.go)
-// against the stable profile.proto field numbers, so no protobuf
-// runtime is linked. The in-memory model below is deliberately
-// simpler than profile.proto — locations are resolved to symbolized
-// frames at parse time, and mappings are dropped (all profiles here
-// come from Go binaries the repo built itself).
-//
-// Layering: prof sits above telemetry (span identity) and below the
-// runner/bench/dist wiring. runner does NOT import prof — the
-// phase-capture hook is injected as a function value
-// (runner.SetCaptureHook) so the dependency points the right way.
+// format is hand-decoded (decode.go) against the stable profile.proto
+// field numbers, so no protobuf runtime is linked. The in-memory model
+// below keeps only what Aggregate and Diff read: locations are
+// resolved to function names at parse time, and mappings, line
+// numbers, labels and timestamps are dropped. Ad-hoc work beyond that
+// (merging several profiles, -diff_base views, flame graphs) is what
+// `go tool pprof` is for; it reads the ring's files directly.
 package prof
 
 // ValueType describes one sample-value dimension, e.g.
@@ -28,16 +24,12 @@ type ValueType struct {
 	Unit string `json:"unit"`
 }
 
-// Frame is one resolved stack frame. Unsymbolized locations (no
-// function record) carry the hex address in Function and a zero Line.
+// Frame is one resolved stack frame.
 type Frame struct {
 	// Function is the fully qualified function name
-	// ("bce/internal/perceptron.dotKernel").
+	// ("bce/internal/perceptron.dotKernel"). Unsymbolized locations
+	// carry their hex address instead.
 	Function string `json:"function"`
-	// File is the source file path, if known.
-	File string `json:"file,omitempty"`
-	// Line is the source line, if known.
-	Line int64 `json:"line,omitempty"`
 }
 
 // Sample is one weighted stack. Stack[0] is the leaf (innermost)
@@ -46,12 +38,6 @@ type Frame struct {
 type Sample struct {
 	Stack  []Frame `json:"stack"`
 	Values []int64 `json:"values"`
-	// Labels holds the string-valued pprof labels (e.g. worker="w0"
-	// after a fleet merge).
-	Labels map[string]string `json:"labels,omitempty"`
-	// NumLabels holds the numeric pprof labels (e.g. bytes=4096 on
-	// heap profiles).
-	NumLabels map[string]int64 `json:"num_labels,omitempty"`
 }
 
 // Profile is the resolved in-memory form of one pprof profile.
@@ -62,17 +48,6 @@ type Profile struct {
 	// producer set one ("" otherwise).
 	DefaultSampleType string   `json:"default_sample_type,omitempty"`
 	Samples           []Sample `json:"samples"`
-	// TimeNanos is the capture start time (UnixNano), 0 if unset.
-	TimeNanos int64 `json:"time_nanos,omitempty"`
-	// DurationNanos is the capture duration, 0 if unset.
-	DurationNanos int64 `json:"duration_nanos,omitempty"`
-	// PeriodType/Period describe the sampling period (e.g. cpu
-	// nanoseconds per sample).
-	PeriodType ValueType `json:"period_type,omitempty"`
-	Period     int64     `json:"period,omitempty"`
-	// Comments carries the profile's free-form comment strings; the
-	// fleet merge records per-worker provenance here.
-	Comments []string `json:"comments,omitempty"`
 }
 
 // sampleIndex picks which Values column to attribute: the

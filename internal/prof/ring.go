@@ -14,12 +14,20 @@ import (
 // file named by the sha256 of its bytes, bounded by entry-count and
 // total-byte caps with oldest-first eviction — the same
 // write-then-rename, digest-named discipline as the runner's result
-// cache, so the two can live side by side (bcecal uses
-// <cache>/profiles). Content addressing is what makes cross-run
-// attribution cheap: a manifest or bench report records only digests,
-// and any ring holding those digests can serve the bytes.
+// cache, so the two can live side by side. Content addressing is what
+// makes cross-run attribution cheap: a manifest or bench report
+// records only digests, and any ring holding those digests can serve
+// the bytes. Every entry is a gzipped pprof file that `go tool pprof`
+// reads as is.
 
 const ringSuffix = ".pprof"
+
+// The ring's bounds: enough for weeks of runs at typical
+// 10KB-200KB per profile.
+const (
+	ringMaxEntries = 512
+	ringMaxBytes   = 256 << 20
+)
 
 // Ring is an open profile ring directory.
 type Ring struct {
@@ -28,35 +36,16 @@ type Ring struct {
 	maxBytes   int64
 }
 
-// DefaultRingEntries and DefaultRingBytes bound a ring when the
-// caller passes zero: enough for weeks of sweep history at typical
-// 10KB-200KB per profile.
-const (
-	DefaultRingEntries = 512
-	DefaultRingBytes   = 256 << 20
-)
-
-// OpenRing opens (creating if needed) a ring at dir. maxEntries and
-// maxBytes of zero select the defaults; negative values disable that
-// bound.
-func OpenRing(dir string, maxEntries int, maxBytes int64) (*Ring, error) {
+// OpenRing opens (creating if needed) a ring at dir.
+func OpenRing(dir string) (*Ring, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("prof: ring: empty directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("prof: ring: %w", err)
 	}
-	if maxEntries == 0 {
-		maxEntries = DefaultRingEntries
-	}
-	if maxBytes == 0 {
-		maxBytes = DefaultRingBytes
-	}
-	return &Ring{dir: dir, maxEntries: maxEntries, maxBytes: maxBytes}, nil
+	return &Ring{dir: dir, maxEntries: ringMaxEntries, maxBytes: ringMaxBytes}, nil
 }
-
-// Dir returns the ring's directory.
-func (r *Ring) Dir() string { return r.dir }
 
 // Digest returns the content address of data: "sha256:<hex>".
 func Digest(data []byte) string {
@@ -120,6 +109,21 @@ func (r *Ring) Get(digest string) ([]byte, error) {
 	return data, nil
 }
 
+// Diff parses the two stored profiles and diffs them (see Diff).
+func (r *Ring) Diff(baseDigest, candDigest string) (*Delta, error) {
+	var ps [2]*Profile
+	for i, digest := range []string{baseDigest, candDigest} {
+		data, err := r.Get(digest)
+		if err != nil {
+			return nil, err
+		}
+		if ps[i], err = Parse(data); err != nil {
+			return nil, err
+		}
+	}
+	return Diff(ps[0], ps[1])
+}
+
 // Has reports whether digest is present.
 func (r *Ring) Has(digest string) bool {
 	path, err := r.fileFor(digest)
@@ -172,9 +176,6 @@ func (r *Ring) List() ([]RingEntry, error) {
 // evict drops oldest entries until both bounds hold, never dropping
 // keep (the entry just written).
 func (r *Ring) evict(keep string) {
-	if r.maxEntries < 0 && r.maxBytes < 0 {
-		return
-	}
 	entries, err := r.List()
 	if err != nil {
 		return
@@ -185,9 +186,7 @@ func (r *Ring) evict(keep string) {
 	}
 	count := len(entries)
 	for _, e := range entries {
-		over := (r.maxEntries >= 0 && count > r.maxEntries) ||
-			(r.maxBytes >= 0 && total > r.maxBytes)
-		if !over {
+		if count <= r.maxEntries && total <= r.maxBytes {
 			break
 		}
 		if e.Digest == keep {

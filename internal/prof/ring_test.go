@@ -1,16 +1,18 @@
 package prof
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
 )
 
 func TestRingPutGet(t *testing.T) {
-	r, err := OpenRing(t.TempDir(), 0, 0)
+	r, err := OpenRing(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func TestRingPutGet(t *testing.T) {
 }
 
 func TestRingRejectsMalformedDigests(t *testing.T) {
-	r, err := OpenRing(t.TempDir(), 0, 0)
+	r, err := OpenRing(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestRingRejectsMalformedDigests(t *testing.T) {
 
 func TestRingDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	r, err := OpenRing(dir, 0, 0)
+	r, err := OpenRing(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +88,11 @@ func TestRingDetectsCorruption(t *testing.T) {
 
 func TestRingEvictsByEntryCount(t *testing.T) {
 	dir := t.TempDir()
-	r, err := OpenRing(dir, 2, -1)
+	r, err := OpenRing(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.maxEntries = 2
 	var digests []string
 	base := time.Now().Add(-time.Hour)
 	for i := 0; i < 3; i++ {
@@ -131,10 +134,11 @@ func TestRingEvictsByEntryCount(t *testing.T) {
 
 func TestRingEvictsByBytes(t *testing.T) {
 	dir := t.TempDir()
-	r, err := OpenRing(dir, -1, 100)
+	r, err := OpenRing(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.maxBytes = 100
 	old, err := r.Put(make([]byte, 80))
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +161,46 @@ func TestRingEvictsByBytes(t *testing.T) {
 }
 
 func TestOpenRingEmptyDir(t *testing.T) {
-	if _, err := OpenRing("", 0, 0); err == nil {
+	if _, err := OpenRing(""); err == nil {
 		t.Error("OpenRing(\"\") succeeded")
+	}
+}
+
+func TestRingDiff(t *testing.T) {
+	r, err := OpenRing(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(data []byte) string {
+		t.Helper()
+		d, err := r.Put(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	heap := func() []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := pprof.Lookup("heap").WriteTo(&buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	base := put(heap())
+	burnSink = burnCPU(1 << 10) // any work between the two snapshots
+	cand := put(heap())
+	d, err := r.Diff(base, cand)
+	if err != nil {
+		t.Fatalf("Diff of two stored heap profiles: %v", err)
+	}
+	if d.Unit != "bytes" {
+		t.Errorf("Unit = %q, want bytes", d.Unit)
+	}
+	if _, err := r.Diff(base, put([]byte("not a profile"))); err == nil {
+		t.Error("Diff against unparseable bytes succeeded")
+	}
+	if _, err := r.Diff(base, Digest([]byte("never stored"))); err == nil {
+		t.Error("Diff against a missing digest succeeded")
 	}
 }

@@ -201,9 +201,6 @@ func Map[T, R any](ctx context.Context, p *Pool, items []T, fn func(ctx context.
 	report := p.progressFunc()
 	total := len(items)
 	live.sweepStart(total, workers)
-	if stop := startCapture(ctx, fmt.Sprintf("sweep(jobs=%d)", total)); stop != nil {
-		defer stop()
-	}
 	idx := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

@@ -30,6 +30,7 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -45,13 +46,9 @@ import (
 	"bce/internal/workload"
 )
 
-// fleetMon holds the coordinator-side fleet monitor once a distributed
-// sweep starts. The debug server's var map is registered before the
-// coordinator exists, so the vars sample through this holder.
-var fleetMon atomic.Pointer[dist.Fleet]
-
-// coordMon likewise exposes the live coordinator's shard-latency
-// statistics.
+// coordMon holds the live coordinator once a distributed sweep starts.
+// The debug server's var map is registered before the coordinator
+// exists, so the bce_breakers var samples through this holder.
 var coordMon atomic.Pointer[dist.Coordinator]
 
 // workloadSeeds maps every benchmark to its deterministic base seed,
@@ -85,11 +82,6 @@ func main() {
 		remote     = flag.String("workers-remote", "", "comma-separated bceworker base URLs (e.g. http://127.0.0.1:8371); shard the sweep's timing simulations across them, then aggregate locally — output is byte-identical to a single-process run")
 		distBatch  = flag.Int("dist-batch", 0, "jobs per batch request to remote workers (0 = default)")
 		traceSpans = flag.String("trace-spans", "", "write the distributed sweep's merged cross-process span timeline (Chrome trace_event JSON, needs -workers-remote) to this file")
-		hedge      = flag.Bool("hedge", true, "speculatively re-issue batches that outlive the adaptive latency threshold to a second worker and take the first result; duplicate executions never merge twice")
-		adaptDL    = flag.Bool("adaptive-deadline", false, "derive each worker's per-job deadline from its own batch-latency history (p99 x 4, clamped) instead of the fixed -job-timeout")
-		brkFails   = flag.Int("breaker-failures", 0, "consecutive batch failures that trip a worker's circuit breaker (0 = default 2)")
-		brkCool    = flag.Duration("breaker-cooldown", 0, "cooldown before the first half-open probe of a tripped worker, doubled per failed probe (0 = derived from retry backoff)")
-		brkProbes  = flag.Int("breaker-probes", 0, "failed half-open probes before a tripped worker is declared permanently lost (0 = default 6)")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
 		logFormat  = flag.String("log-format", "text", "log output format: text or json")
 		profDir    = prof.RegisterFlags()
@@ -134,18 +126,6 @@ func main() {
 				return map[string]uint64{"hits": hits, "misses": misses}
 			},
 			"bce_dist": func() any { return dist.Snapshot() },
-			"bce_fleet": func() any {
-				if f := fleetMon.Load(); f != nil {
-					return f.Snapshot()
-				}
-				return nil
-			},
-			"bce_dist_coordinator": func() any {
-				if c := coordMon.Load(); c != nil {
-					return c.Stats()
-				}
-				return nil
-			},
 			"bce_breakers": func() any {
 				if c := coordMon.Load(); c != nil {
 					return c.Breakers()
@@ -242,14 +222,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bcetables: -workers-remote lists no worker URLs")
 			os.Exit(2)
 		}
-		tuning := distTuning{
-			hedge:            *hedge,
-			adaptiveDeadline: *adaptDL,
-			breakerFailures:  *brkFails,
-			breakerCooldown:  *brkCool,
-			breakerProbes:    *brkProbes,
-		}
-		if err := distribute(ctx, urls, *exp, *bench, *csv, sz, mb, *distBatch, *jobTimeout, *retries, *traceSpans, tuning); err != nil {
+		if err := distribute(ctx, urls, *exp, *bench, *csv, sz, mb, *distBatch, *jobTimeout, *traceSpans); err != nil {
 			fail(err)
 		}
 	}
@@ -299,44 +272,28 @@ func splitList(s string) []string {
 	return out
 }
 
-// distTuning carries the self-healing knobs (-hedge,
-// -adaptive-deadline, -breaker-*) from flags into dist.Options.
-type distTuning struct {
-	hedge            bool
-	adaptiveDeadline bool
-	breakerFailures  int
-	breakerCooldown  time.Duration
-	breakerProbes    int
-}
-
 // distribute runs the remote leg of a distributed sweep: plan the job
 // space with a silent recording pass, ping the workers, shard and
 // dispatch, and inject every remote result into the local cache (and
 // any attached store/journal) under its cache key. Jobs whose results
 // are already stored — a resumed coordinator — are excluded from the
-// plan, so only missing work is dispatched.
+// plan, so only missing work is dispatched. -retries is the runner's
+// per-job budget and is not forwarded: the coordinator keeps its own
+// default for in-place batch retries.
 func distribute(ctx context.Context, urls []string, exp, bench string, csv bool,
-	sz core.Sizes, mb *manifest.Builder, batch int, jobTimeout time.Duration, retries int,
-	traceSpans string, tuning distTuning) error {
+	sz core.Sizes, mb *manifest.Builder, batch int, jobTimeout time.Duration,
+	traceSpans string) error {
 	log := slog.Default().With("component", "coordinator")
 	var tracer *telemetry.Tracer
 	if traceSpans != "" {
 		tracer = telemetry.NewTracer("coordinator")
 	}
 	coord, err := dist.NewCoordinator(dist.Options{
-		Workers:          urls,
-		BatchSize:        batch,
-		JobTimeout:       jobTimeout,
-		Retries:          retries,
-		DisableHedging:   !tuning.hedge,
-		AdaptiveDeadline: tuning.adaptiveDeadline,
-		Breaker: dist.BreakerOptions{
-			ConsecutiveFailures: tuning.breakerFailures,
-			Cooldown:            tuning.breakerCooldown,
-			MaxProbeFailures:    tuning.breakerProbes,
-		},
-		Logger: log,
-		Tracer: tracer,
+		Workers:    urls,
+		BatchSize:  batch,
+		JobTimeout: jobTimeout,
+		Logger:     log,
+		Tracer:     tracer,
 		OnResult: func(worker string, job dist.Job, run metrics.Run) {
 			core.InjectResult(job.Key, run)
 			if mb != nil {
@@ -356,20 +313,6 @@ func distribute(ctx context.Context, urls []string, exp, bench string, csv bool,
 	if err := coord.Ping(ctx); err != nil {
 		return err
 	}
-
-	// The fleet monitor is observational: it polls worker /metrics and
-	// /readyz for the debug endpoint's bce_fleet var and stops when the
-	// sweep ends. Its failures never affect job routing.
-	fleetCtx, stopFleet := context.WithCancel(ctx)
-	fleet := dist.NewFleet(dist.FleetOptions{Workers: urls, Logger: log})
-	fleet.SetBreakerSource(coord.Breakers)
-	fleet.Start(fleetCtx)
-	fleetMon.Store(fleet)
-	defer func() {
-		fleetMon.Store(nil)
-		stopFleet()
-		fleet.Wait()
-	}()
 
 	plan, err := core.CollectJobs(func() error {
 		return run(exp, bench, csv, sz, nil, io.Discard)
@@ -416,6 +359,82 @@ func writeSpanFile(path string, tracer *telemetry.Tracer) error {
 	return f.Close()
 }
 
+// experiment is one regenerable result of the evaluation: the name
+// its "[name regenerated …]" stderr line carries, the -exp values that
+// select it (its own names plus the all, fidelity and extras
+// composites it belongs to), the manifest result name it records
+// under (empty: not recorded), and how to compute and render it.
+type experiment struct {
+	name   string
+	exps   []string
+	record string
+	render func(sz core.Sizes, bench string, csv bool) (result any, text string, err error)
+}
+
+// show adapts a core result constructor to experiment.render.
+func show[T fmt.Stringer](v T, err error) (any, string, error) {
+	if err != nil {
+		return nil, "", err
+	}
+	return v, v.String(), nil
+}
+
+// density renders one estimator-output density figure pair.
+func density(scheme, figs string) func(core.Sizes, string, bool) (any, string, error) {
+	return func(sz core.Sizes, bench string, csv bool) (any, string, error) {
+		d, err := core.Density(bench, scheme, sz)
+		if err != nil {
+			return nil, "", err
+		}
+		body := d.String()
+		if csv {
+			body = d.CSV()
+		}
+		return d, fmt.Sprintf("== %s (%s estimator output density, benchmark %s)\n%s", figs, scheme, bench, body), nil
+	}
+}
+
+// experiments lists every experiment in output order. fidelity is the
+// scorecard composite: the experiments the paper fidelity gate scores.
+var experiments = []experiment{
+	{"table2", []string{"table2", "all", "fidelity"}, "table2",
+		func(sz core.Sizes, _ string, _ bool) (any, string, error) { return show(core.Table2(sz)) }},
+	{"table3", []string{"table3", "all", "fidelity"}, "table3",
+		func(sz core.Sizes, _ string, _ bool) (any, string, error) { return show(core.Table3(sz)) }},
+	{"table4", []string{"table4", "all", "fidelity"}, "table4",
+		func(sz core.Sizes, _ string, _ bool) (any, string, error) { return show(core.Table4(sz)) }},
+	{"table5", []string{"table5", "all"}, "table5",
+		func(sz core.Sizes, _ string, _ bool) (any, string, error) { return show(core.Table5(sz)) }},
+	{"table6", []string{"table6", "all"}, "table6",
+		func(sz core.Sizes, _ string, _ bool) (any, string, error) { return show(core.Table6(sz)) }},
+	{"fig4/5", []string{"fig4", "fig5", "all"}, "density-cic", density("cic", "Figures 4-5")},
+	{"fig6/7", []string{"fig6", "fig7", "all"}, "density-tnt", density("tnt", "Figures 6-7")},
+	{"fig8", []string{"fig8", "all", "fidelity"}, "fig8",
+		func(sz core.Sizes, _ string, _ bool) (any, string, error) {
+			return show(core.Combined(config.Baseline40x4(), sz))
+		}},
+	{"fig9", []string{"fig9", "all"}, "fig9",
+		func(sz core.Sizes, _ string, _ bool) (any, string, error) {
+			return show(core.Combined(config.Wide20x8(), sz))
+		}},
+	{"latency", []string{"latency", "all"}, "latency",
+		func(sz core.Sizes, _ string, _ bool) (any, string, error) { return show(core.Latency(sz)) }},
+	{"ablate-signal", []string{"ablate-signal", "extras"}, "",
+		func(sz core.Sizes, _ string, _ bool) (any, string, error) { return show(core.AblateTrainingSignal(sz)) }},
+	{"ablate-reversal", []string{"ablate-reversal", "extras"}, "",
+		func(sz core.Sizes, _ string, _ bool) (any, string, error) { return show(core.AblateReversalSource(sz)) }},
+	{"ablate-site", []string{"ablate-site", "extras"}, "",
+		func(sz core.Sizes, _ string, _ bool) (any, string, error) { return show(core.AblateTrainingSite(sz)) }},
+	{"ablate-threshold", []string{"ablate-threshold", "extras"}, "",
+		func(sz core.Sizes, _ string, _ bool) (any, string, error) { return show(core.AblateTrainThreshold(sz)) }},
+	{"ablate-history", []string{"ablate-history", "extras"}, "",
+		func(sz core.Sizes, _ string, _ bool) (any, string, error) { return show(core.AblateHistoryLength(sz)) }},
+	{"ablate-jrs", []string{"ablate-jrs", "extras"}, "",
+		func(sz core.Sizes, _ string, _ bool) (any, string, error) { return show(core.AblateJRSIndexing(sz)) }},
+	{"variability", []string{"variability", "extras"}, "",
+		func(sz core.Sizes, _ string, _ bool) (any, string, error) { return show(core.Variability(0, 1, sz)) }},
+}
+
 func run(exp, bench string, csv bool, sz core.Sizes, mb *manifest.Builder, out io.Writer) error {
 	// A planning pass (distribute) runs this function against
 	// io.Discard purely to enumerate jobs; keep its stderr decoration
@@ -424,264 +443,28 @@ func run(exp, bench string, csv bool, sz core.Sizes, mb *manifest.Builder, out i
 	if out == io.Discard {
 		errOut = io.Discard
 	}
-	// record stores an experiment's structured result in the manifest;
-	// a nil builder (no -manifest, or the planning pass) makes it a
-	// no-op.
-	record := func(name string, v any) error {
-		if mb == nil {
-			return nil
-		}
-		return mb.AddResult(name, v)
-	}
-	density := func(scheme, figs string) error {
-		d, err := core.Density(bench, scheme, sz)
-		if err != nil {
-			return err
-		}
-		if err := record("density-"+scheme, d); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "== %s (%s estimator output density, benchmark %s)\n", figs, scheme, bench)
-		if csv {
-			fmt.Fprint(out, d.CSV())
-		} else {
-			fmt.Fprint(out, d.String())
-		}
-		return nil
-	}
-	all := exp == "all"
-	// fidelity is the scorecard composite: the experiments the paper
-	// fidelity gate scores, at one flag.
-	fid := exp == "fidelity"
 	ran := false
-	timed := func(name string, fn func() error) error {
-		start := time.Now()
-		if err := fn(); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+	for _, e := range experiments {
+		if !slices.Contains(e.exps, exp) {
+			continue
 		}
+		start := time.Now()
+		result, text, err := e.render(sz, bench, csv)
+		// A nil builder (no -manifest, or the planning pass) records
+		// nothing.
+		if err == nil && mb != nil && e.record != "" {
+			err = mb.AddResult(e.record, result)
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+		fmt.Fprint(out, text)
 		// Wall-clock decoration goes to stderr so stdout carries only
 		// the deterministic results — a resumed run's stdout is
 		// byte-identical to an uninterrupted one.
-		fmt.Fprintf(errOut, "[%s regenerated in %.1fs]\n", name, time.Since(start).Seconds())
+		fmt.Fprintf(errOut, "[%s regenerated in %.1fs]\n", e.name, time.Since(start).Seconds())
 		fmt.Fprintln(out)
 		ran = true
-		return nil
-	}
-
-	if all || fid || exp == "table2" {
-		if err := timed("table2", func() error {
-			t, err := core.Table2(sz)
-			if err != nil {
-				return err
-			}
-			if err := record("table2", t); err != nil {
-				return err
-			}
-			fmt.Fprint(out, t)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || fid || exp == "table3" {
-		if err := timed("table3", func() error {
-			t, err := core.Table3(sz)
-			if err != nil {
-				return err
-			}
-			if err := record("table3", t); err != nil {
-				return err
-			}
-			fmt.Fprint(out, t)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || fid || exp == "table4" {
-		if err := timed("table4", func() error {
-			t, err := core.Table4(sz)
-			if err != nil {
-				return err
-			}
-			if err := record("table4", t); err != nil {
-				return err
-			}
-			fmt.Fprint(out, t)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || exp == "table5" {
-		if err := timed("table5", func() error {
-			t, err := core.Table5(sz)
-			if err != nil {
-				return err
-			}
-			if err := record("table5", t); err != nil {
-				return err
-			}
-			fmt.Fprint(out, t)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || exp == "table6" {
-		if err := timed("table6", func() error {
-			t, err := core.Table6(sz)
-			if err != nil {
-				return err
-			}
-			if err := record("table6", t); err != nil {
-				return err
-			}
-			fmt.Fprint(out, t)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || exp == "fig4" || exp == "fig5" {
-		if err := timed("fig4/5", func() error { return density("cic", "Figures 4-5") }); err != nil {
-			return err
-		}
-	}
-	if all || exp == "fig6" || exp == "fig7" {
-		if err := timed("fig6/7", func() error { return density("tnt", "Figures 6-7") }); err != nil {
-			return err
-		}
-	}
-	if all || fid || exp == "fig8" {
-		if err := timed("fig8", func() error {
-			c, err := core.Combined(config.Baseline40x4(), sz)
-			if err != nil {
-				return err
-			}
-			if err := record("fig8", c); err != nil {
-				return err
-			}
-			fmt.Fprint(out, c)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || exp == "fig9" {
-		if err := timed("fig9", func() error {
-			c, err := core.Combined(config.Wide20x8(), sz)
-			if err != nil {
-				return err
-			}
-			if err := record("fig9", c); err != nil {
-				return err
-			}
-			fmt.Fprint(out, c)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if all || exp == "latency" {
-		if err := timed("latency", func() error {
-			l, err := core.Latency(sz)
-			if err != nil {
-				return err
-			}
-			if err := record("latency", l); err != nil {
-				return err
-			}
-			fmt.Fprint(out, l)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	extras := exp == "extras"
-	if extras || exp == "ablate-signal" {
-		if err := timed("ablate-signal", func() error {
-			a, err := core.AblateTrainingSignal(sz)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, a)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if extras || exp == "ablate-reversal" {
-		if err := timed("ablate-reversal", func() error {
-			a, err := core.AblateReversalSource(sz)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, a)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if extras || exp == "ablate-site" {
-		if err := timed("ablate-site", func() error {
-			a, err := core.AblateTrainingSite(sz)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, a)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if extras || exp == "ablate-threshold" {
-		if err := timed("ablate-threshold", func() error {
-			a, err := core.AblateTrainThreshold(sz)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, a)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if extras || exp == "ablate-history" {
-		if err := timed("ablate-history", func() error {
-			a, err := core.AblateHistoryLength(sz)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, a)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if extras || exp == "ablate-jrs" {
-		if err := timed("ablate-jrs", func() error {
-			a, err := core.AblateJRSIndexing(sz)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, a)
-			return nil
-		}); err != nil {
-			return err
-		}
-	}
-	if extras || exp == "variability" {
-		if err := timed("variability", func() error {
-			v, err := core.Variability(0, 1, sz)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, v)
-			return nil
-		}); err != nil {
-			return err
-		}
 	}
 	if !ran {
 		return fmt.Errorf("unknown experiment %q (want table2..table6, fig4..fig9, latency, all, fidelity, extras, ablate-*, variability)", exp)

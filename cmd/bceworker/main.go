@@ -10,12 +10,12 @@
 //
 // A worker is stateless between batches apart from its result cache:
 // killing one mid-sweep loses only in-flight work, and the coordinator
-// reassigns the unfinished batches to surviving workers. Re-delivered
+// requeues the unfinished batch for the surviving workers. Re-delivered
 // jobs whose results are already in the worker's cache are served, not
 // re-simulated.
 //
 // The API port also answers /healthz (liveness), /readyz (flips to 503
-// once shutdown begins, so fleet monitors stop routing to a draining
+// once shutdown begins, so health checkers stop routing to a draining
 // worker), and /metrics (Prometheus text format).
 package main
 
@@ -123,7 +123,7 @@ func main() {
 	defer stop()
 	go func() {
 		<-ctx.Done()
-		// Fail /readyz first so fleet monitors and load balancers stop
+		// Fail /readyz first so health checkers and load balancers stop
 		// routing here while in-flight batches drain.
 		w.SetReady(false)
 		logger.Info("shutdown requested; draining in-flight batches")

@@ -3,18 +3,24 @@ package dist
 import (
 	"sync"
 	"time"
+
+	"bce/internal/runner"
 )
 
 // breaker.go is the coordinator's per-worker circuit breaker. Each
-// worker URL gets one breaker; batch outcomes feed it, and a worker
-// that fails too often is evicted from the shard rotation (its loop
-// requeues everything it holds and stops taking work) instead of
-// absorbing retries. While open, the breaker schedules half-open
-// probes — cheap schema pings, not real batches — with a doubling
-// cooldown; a passing probe re-admits the worker, and a worker whose
-// probe budget runs dry is declared permanently lost. The breaker is
-// advisory state for exactly one worker loop plus read-only snapshots,
-// so a single mutex is plenty.
+// worker URL gets one breaker. A worker is evicted (Trip) when a batch
+// exhausts its in-place retries there or the pre-sweep ping cannot
+// reach it; its loop requeues the batch it held and stops taking work.
+// While open, the breaker schedules half-open probes — cheap schema
+// pings, not real batches — with a doubling cooldown; a passing probe
+// re-admits the worker, and a worker whose probe budget runs dry is
+// declared permanently lost. The breaker is advisory state for exactly
+// one worker loop plus read-only snapshots, so a single mutex is
+// plenty.
+
+// maxProbeFailures is how many consecutive failed probes declare a
+// worker permanently lost.
+const maxProbeFailures = 6
 
 // BreakerState is a circuit breaker's position.
 type BreakerState int
@@ -28,7 +34,7 @@ const (
 	BreakerHalfOpen
 )
 
-// String renders the state for logs and fleet snapshots.
+// String renders the state for logs and breaker snapshots.
 func (s BreakerState) String() string {
 	switch s {
 	case BreakerClosed:
@@ -41,148 +47,47 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerOptions tunes the per-worker circuit breakers. The zero value
-// picks defaults sized for the coordinator's retry cadence.
-type BreakerOptions struct {
-	// ConsecutiveFailures trips the breaker after this many batch
-	// failures in a row (default 2 — one failed task's in-place retries
-	// are enough evidence against a worker that was healthy moments
-	// ago).
-	ConsecutiveFailures int
-	// ErrorRate trips the breaker when at least Window outcomes have
-	// been seen and this fraction of the last Window failed (default
-	// 0.5). Catches flaky workers whose successes keep resetting the
-	// consecutive counter.
-	ErrorRate float64
-	// Window is the sliding outcome window for ErrorRate (default 8).
-	Window int
-	// Cooldown is the wait before the first half-open probe, doubled
-	// after every failed probe up to MaxCooldown. Default 1s;
-	// NewCoordinator derives a tighter default from RetryBackoff.
-	Cooldown time.Duration
-	// MaxCooldown caps the doubled cooldown (default 30s).
-	MaxCooldown time.Duration
-	// MaxProbeFailures is how many consecutive failed probes declare
-	// the worker permanently lost (default 6).
-	MaxProbeFailures int
-}
-
-func (o BreakerOptions) withDefaults() BreakerOptions {
-	if o.ConsecutiveFailures <= 0 {
-		o.ConsecutiveFailures = 2
-	}
-	if o.ErrorRate <= 0 || o.ErrorRate > 1 {
-		o.ErrorRate = 0.5
-	}
-	if o.Window <= 0 {
-		o.Window = 8
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = time.Second
-	}
-	if o.MaxCooldown <= 0 {
-		o.MaxCooldown = 30 * time.Second
-	}
-	if o.MaxProbeFailures <= 0 {
-		o.MaxProbeFailures = 6
-	}
-	return o
-}
-
-// BreakerSnapshot is one breaker's state for stats and fleet views.
+// BreakerSnapshot is one breaker's state for the bce_breakers view.
 type BreakerSnapshot struct {
-	State               string `json:"state"`
-	ConsecutiveFailures int    `json:"consecutive_failures"`
-	Trips               uint64 `json:"trips"`
-	Probes              uint64 `json:"probes"`
-	Readmissions        uint64 `json:"readmissions"`
-	ProbeFailures       int    `json:"probe_failures"`
+	State         string `json:"state"`
+	Trips         uint64 `json:"trips"`
+	Probes        uint64 `json:"probes"`
+	Readmissions  uint64 `json:"readmissions"`
+	ProbeFailures int    `json:"probe_failures"`
 }
 
 // breaker is one worker's circuit breaker. All methods are safe for
 // concurrent use.
 type breaker struct {
-	opts BreakerOptions
+	// cooldown is the wait before the first probe of an eviction,
+	// doubled per failed probe by runner.Backoff.
+	cooldown time.Duration
 
 	mu         sync.Mutex
 	state      BreakerState
-	consec     int    // consecutive failures while closed
-	window     []bool // ring of recent outcomes (true = failure)
-	wIdx       int
-	wFill      int
 	openedAt   time.Time
-	cooldown   time.Duration
 	probeFails int // consecutive failed probes this episode chain
 	trips      uint64
 	probes     uint64
 	readmits   uint64
 }
 
-func newBreaker(opts BreakerOptions) *breaker {
-	opts = opts.withDefaults()
-	return &breaker{
-		opts:     opts,
-		window:   make([]bool, opts.Window),
-		cooldown: opts.Cooldown,
-	}
+func newBreaker(cooldown time.Duration) *breaker {
+	return &breaker{cooldown: cooldown}
 }
 
-// Record feeds one batch outcome (ok = the request succeeded) and
-// reports whether this outcome tripped the breaker. Outcomes arriving
-// while the breaker is already open (late in-flight requests) are
-// ignored.
-func (b *breaker) Record(ok bool) (tripped bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state != BreakerClosed {
-		return false
-	}
-	b.window[b.wIdx] = !ok
-	b.wIdx = (b.wIdx + 1) % len(b.window)
-	if b.wFill < len(b.window) {
-		b.wFill++
-	}
-	if ok {
-		b.consec = 0
-		return false
-	}
-	b.consec++
-	if b.consec >= b.opts.ConsecutiveFailures {
-		b.tripLocked()
-		return true
-	}
-	if b.wFill >= len(b.window) {
-		fails := 0
-		for _, f := range b.window {
-			if f {
-				fails++
-			}
-		}
-		if float64(fails) >= b.opts.ErrorRate*float64(len(b.window)) {
-			b.tripLocked()
-			return true
-		}
-	}
-	return false
-}
-
-// Trip forces the breaker open (used when a worker loop gives up on a
-// worker for reasons the outcome stream alone did not trip on) and
-// reports whether this call did the tripping.
+// Trip evicts the worker and reports whether this call did the
+// tripping (false when the breaker was already open).
 func (b *breaker) Trip() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state != BreakerClosed {
 		return false
 	}
-	b.tripLocked()
-	return true
-}
-
-func (b *breaker) tripLocked() {
 	b.state = BreakerOpen
 	b.openedAt = time.Now()
 	b.trips++
+	return true
 }
 
 // Closed reports whether the worker may take batches.
@@ -197,7 +102,12 @@ func (b *breaker) Closed() bool {
 func (b *breaker) Exhausted() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.state != BreakerClosed && b.probeFails >= b.opts.MaxProbeFailures
+	return b.state != BreakerClosed && b.probeFails >= maxProbeFailures
+}
+
+// probeDueLocked is when the next half-open probe may begin.
+func (b *breaker) probeDueLocked() time.Time {
+	return b.openedAt.Add(runner.Backoff{Initial: b.cooldown}.Delay(b.probeFails))
 }
 
 // ProbeWait returns how long to wait before the next half-open probe
@@ -208,7 +118,7 @@ func (b *breaker) ProbeWait() time.Duration {
 	if b.state != BreakerOpen {
 		return 0
 	}
-	if d := time.Until(b.openedAt.Add(b.cooldown)); d > 0 {
+	if d := time.Until(b.probeDueLocked()); d > 0 {
 		return d
 	}
 	return 0
@@ -220,7 +130,7 @@ func (b *breaker) ProbeWait() time.Duration {
 func (b *breaker) BeginProbe() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state != BreakerOpen || time.Now().Before(b.openedAt.Add(b.cooldown)) {
+	if b.state != BreakerOpen || time.Now().Before(b.probeDueLocked()) {
 		return false
 	}
 	b.state = BreakerHalfOpen
@@ -229,8 +139,8 @@ func (b *breaker) BeginProbe() bool {
 }
 
 // ProbeResult resolves a half-open probe: success re-admits the worker
-// (breaker closes, counters reset) and returns true; failure reopens
-// with a doubled cooldown.
+// (breaker closes, probe count resets) and returns true; failure
+// reopens with a doubled cooldown.
 func (b *breaker) ProbeResult(ok bool) (readmitted bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -239,21 +149,13 @@ func (b *breaker) ProbeResult(ok bool) (readmitted bool) {
 	}
 	if ok {
 		b.state = BreakerClosed
-		b.consec = 0
-		b.wFill = 0
-		b.wIdx = 0
 		b.probeFails = 0
-		b.cooldown = b.opts.Cooldown
 		b.readmits++
 		return true
 	}
 	b.state = BreakerOpen
 	b.openedAt = time.Now()
 	b.probeFails++
-	b.cooldown *= 2
-	if b.cooldown > b.opts.MaxCooldown {
-		b.cooldown = b.opts.MaxCooldown
-	}
 	return false
 }
 
@@ -262,11 +164,10 @@ func (b *breaker) Snapshot() BreakerSnapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return BreakerSnapshot{
-		State:               b.state.String(),
-		ConsecutiveFailures: b.consec,
-		Trips:               b.trips,
-		Probes:              b.probes,
-		Readmissions:        b.readmits,
-		ProbeFailures:       b.probeFails,
+		State:         b.state.String(),
+		Trips:         b.trips,
+		Probes:        b.probes,
+		Readmissions:  b.readmits,
+		ProbeFailures: b.probeFails,
 	}
 }

@@ -5,81 +5,14 @@ import (
 	"time"
 )
 
-func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
-	// Error-rate tripping parked out of reach: this test isolates the
-	// consecutive-failure path.
-	b := newBreaker(BreakerOptions{ConsecutiveFailures: 3, ErrorRate: 0.99, Window: 64})
-	// Successes keep it closed and reset the streak.
-	for i := 0; i < 5; i++ {
-		if b.Record(true) {
-			t.Fatal("success tripped the breaker")
-		}
-	}
-	b.Record(false)
-	b.Record(false)
-	b.Record(true) // streak broken
-	b.Record(false)
-	if b.Record(false) {
-		t.Fatal("tripped after 2 consecutive failures with threshold 3")
-	}
-	if !b.Record(false) {
-		t.Fatal("did not trip on the 3rd consecutive failure")
-	}
-	if b.Closed() {
-		t.Error("breaker closed after tripping")
-	}
-	if s := b.Snapshot(); s.State != "open" || s.Trips != 1 {
-		t.Errorf("snapshot after trip = %+v", s)
-	}
-}
-
-func TestBreakerTripsOnErrorRate(t *testing.T) {
-	// Consecutive threshold set out of reach: only the sliding-window
-	// error rate can trip. Alternating outcomes never build a streak,
-	// but half the window failing must.
-	b := newBreaker(BreakerOptions{ConsecutiveFailures: 100, Window: 4, ErrorRate: 0.5})
-	b.Record(false)
-	b.Record(true)
-	b.Record(true)
-	if !b.Record(false) { // window full: 2/4 failed
-		t.Fatal("did not trip at 50% error rate over a full window")
-	}
-}
-
-func TestBreakerErrorRateNeedsFullWindow(t *testing.T) {
-	b := newBreaker(BreakerOptions{ConsecutiveFailures: 100, Window: 8, ErrorRate: 0.25})
-	// 3 failures among 5 outcomes would exceed the rate, but the window
-	// has not filled yet: no verdict on partial evidence.
-	b.Record(false)
-	b.Record(true)
-	b.Record(false)
-	b.Record(true)
-	if b.Record(false) {
-		t.Fatal("tripped before the window filled")
-	}
-	if !b.Closed() {
-		t.Fatal("breaker open before the window filled")
-	}
-}
-
-func TestBreakerIgnoresOutcomesWhileOpen(t *testing.T) {
-	b := newBreaker(BreakerOptions{ConsecutiveFailures: 1})
-	b.Record(false)
-	if b.Closed() {
-		t.Fatal("not tripped")
-	}
-	// Late in-flight results must not double-trip or re-close.
-	if b.Record(false) || b.Record(true) {
-		t.Error("open breaker reacted to a late outcome")
-	}
-	if s := b.Snapshot(); s.Trips != 1 {
-		t.Errorf("trips = %d, want 1", s.Trips)
-	}
-}
-
 func TestBreakerProbeLifecycle(t *testing.T) {
-	b := newBreaker(BreakerOptions{ConsecutiveFailures: 1, Cooldown: 5 * time.Millisecond, MaxCooldown: time.Second})
-	b.Record(false)
+	b := newBreaker(5 * time.Millisecond)
+	if !b.Trip() {
+		t.Fatal("closed breaker refused to trip")
+	}
+	if b.Trip() {
+		t.Fatal("open breaker tripped twice")
+	}
 	if b.BeginProbe() {
 		t.Fatal("probe began before the cooldown elapsed")
 	}
@@ -97,6 +30,9 @@ func TestBreakerProbeLifecycle(t *testing.T) {
 	if s := b.Snapshot(); s.State != "open" || s.ProbeFailures != 1 || s.Probes != 1 {
 		t.Errorf("snapshot after failed probe = %+v", s)
 	}
+	if w := b.ProbeWait(); w <= 5*time.Millisecond {
+		t.Errorf("cooldown after a failed probe = %v, want the doubled 10ms", w)
+	}
 	time.Sleep(11 * time.Millisecond) // doubled cooldown
 	if !b.BeginProbe() {
 		t.Fatal("probe refused after doubled cooldown")
@@ -108,24 +44,24 @@ func TestBreakerProbeLifecycle(t *testing.T) {
 		t.Fatal("breaker open after re-admission")
 	}
 	s := b.Snapshot()
-	if s.Readmissions != 1 || s.ProbeFailures != 0 || s.ConsecutiveFailures != 0 {
+	if s.Readmissions != 1 || s.ProbeFailures != 0 || s.Trips != 1 {
 		t.Errorf("snapshot after re-admission = %+v", s)
 	}
 	// Re-admission resets the cooldown to its base, not the doubled one.
-	b.Record(false)
+	b.Trip()
 	if w := b.ProbeWait(); w > 6*time.Millisecond {
 		t.Errorf("cooldown after re-admission = %v, want base 5ms", w)
 	}
 }
 
 func TestBreakerExhaustsProbeBudget(t *testing.T) {
-	b := newBreaker(BreakerOptions{ConsecutiveFailures: 1, Cooldown: time.Millisecond, MaxProbeFailures: 2})
-	b.Record(false)
-	for i := 0; i < 2; i++ {
+	b := newBreaker(time.Millisecond)
+	b.Trip()
+	for i := 0; i < maxProbeFailures; i++ {
 		if b.Exhausted() {
-			t.Fatalf("exhausted after %d failed probes, budget is 2", i)
+			t.Fatalf("exhausted after %d failed probes, budget is %d", i, maxProbeFailures)
 		}
-		time.Sleep(time.Duration(1<<i) * 2 * time.Millisecond)
+		time.Sleep(b.ProbeWait())
 		if !b.BeginProbe() {
 			t.Fatalf("probe %d refused", i)
 		}

@@ -32,51 +32,20 @@ type Options struct {
 	BatchSize int
 	// JobTimeout bounds each job's execution on the worker; zero means
 	// none. Expiry is a transient failure (runner.Transient semantics):
-	// the job is retried, eventually on another worker. With
-	// AdaptiveDeadline set, this is only the deadline until enough
-	// batch latencies have been observed to derive a per-worker one.
+	// the job is requeued and may run on another worker.
 	JobTimeout time.Duration
 	// Retries is how many times a failed batch request is retried
-	// in place against the same worker before the worker's circuit
-	// breaker takes over (default 2). RetryBackoff is the initial
-	// backoff, doubled per retry (default 250ms).
+	// in place against the same worker before the worker is evicted
+	// (default 2). RetryBackoff is the initial backoff, doubled per
+	// retry (default 250ms); an evicted worker's probe cooldown starts
+	// at 4×RetryBackoff.
 	Retries      int
 	RetryBackoff time.Duration
-	// Breaker tunes the per-worker circuit breakers. The zero value
-	// gets defaults; the default probe cooldown is derived from
-	// RetryBackoff (4×) so test-speed coordinators probe at test speed.
-	Breaker BreakerOptions
-	// DisableHedging turns off hedged batch dispatch. Hedging is on by
-	// default: when a batch's latency exceeds an adaptive percentile
-	// threshold the batch is speculatively re-issued to a second
-	// worker, the first result wins, and the loser is cancelled.
-	// Exactly-once merging makes the duplicate execution invisible.
-	DisableHedging bool
-	// HedgePercentile (default 0.95) and HedgeMultiplier (default 2)
-	// set the hedge threshold: a batch is hedged once it has been in
-	// flight longer than multiplier × the percentile of all observed
-	// batch latencies. HedgeMinDelay (default 25ms) and HedgeMaxDelay
-	// (default 10s) clamp the threshold.
-	HedgePercentile float64
-	HedgeMultiplier float64
-	HedgeMinDelay   time.Duration
-	HedgeMaxDelay   time.Duration
-	// AdaptiveDeadline derives each dispatch's worker-side job deadline
-	// from that worker's own batch-latency history —
-	// DeadlinePercentile (default 0.99) × DeadlineMultiplier (default
-	// 4), clamped to [DeadlineFloor, DeadlineCeil] (defaults 1s, 5m) —
-	// so slow-but-healthy workers are not killed and stragglers are.
-	// Until enough samples exist, JobTimeout applies.
-	AdaptiveDeadline   bool
-	DeadlinePercentile float64
-	DeadlineMultiplier float64
-	DeadlineFloor      time.Duration
-	DeadlineCeil       time.Duration
 	// OnResult is called once per successful job with the worker's name
 	// and the result. Workers execute concurrently, so OnResult must be
 	// safe for concurrent use. The coordinator guarantees exactly one
 	// call per job key, however often the job was re-executed by
-	// reassignment or hedging. Required.
+	// requeueing or hedging. Required.
 	OnResult func(worker string, job Job, run metrics.Run)
 	// Logger receives structured progress and rebalancing records
 	// (worker eviction, probing, hedging, batch reassignment, retries).
@@ -90,10 +59,14 @@ type Options struct {
 }
 
 // Coordinator shards a planned job space across worker processes and
-// merges the results. Failure policy: transport errors and
-// worker-reported transient failures are retried — first in place with
-// backoff, then by circuit-breaking the sick worker and reassigning
-// its work to healthy ones — while deterministic job failures
+// merges the results. Every worker loop drains one shared batch queue,
+// so an idle worker always takes the next batch, whoever it was cut
+// for. Once the queue first runs dry, every batch still in flight is
+// re-issued once to a second worker (the backup tasks of MapReduce,
+// Dean & Ghemawat, OSDI 2004); the first success merges. Failure
+// policy: transport errors and worker-reported transient failures are
+// retried — first in place with backoff, then by evicting the worker
+// and requeueing its batch — while deterministic job failures
 // (validation, key-recompute mismatch, simulation error) abort the
 // sweep, because they would fail identically everywhere. An evicted
 // worker is probed on a doubling cooldown and re-admitted when a probe
@@ -116,20 +89,22 @@ type Coordinator struct {
 	doneOnce sync.Once
 	cancel   context.CancelFunc
 
+	// queue is the shared task queue every worker loop drains; requeued
+	// tasks go back onto it. tail closes the first time a loop finds it
+	// empty: from then on every batch is in flight, and runTask hedges.
+	queue    chan *task
+	tail     chan struct{}
+	tailOnce sync.Once
+
 	// merged is the exactly-once merge guard: job keys whose result has
-	// been handed to OnResult. Reassignment and hedging can both
-	// legally execute a job twice; only the first result merges.
+	// been handed to OnResult. Requeueing and hedging can both legally
+	// execute a job twice; only the first result merges.
 	mergedMu sync.Mutex
 	merged   map[string]struct{}
 
 	// Sweep trace state (nil/empty when Options.Tracer is nil).
 	sweepSpan *telemetry.Span
 	shards    []*shardTrace
-
-	// statsMu guards stats: telemetry histograms are unsynchronized by
-	// design, and batch completions observe from many worker loops.
-	statsMu sync.Mutex
-	stats   *telemetry.Registry
 }
 
 // shardTrace tracks one shard's span and how many of its tasks are
@@ -150,7 +125,7 @@ func (s *shardTrace) taskDone() {
 }
 
 // task is one batch plus its delivery-attempt count. Attempts increment
-// on every reassignment; a task exceeding the coordinator's attempt
+// on every requeue; a task exceeding the coordinator's attempt
 // budget aborts the sweep rather than cycling forever.
 type task struct {
 	batch    Batch
@@ -179,52 +154,23 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = 250 * time.Millisecond
 	}
-	if opts.Breaker.Cooldown <= 0 {
+	c := &Coordinator{
+		opts:   opts,
+		client: opts.Client,
+		log:    opts.Logger,
+		// In-place retries per visit, times one visit per worker per
+		// probe cycle: finite under total loss, roomy under repeated
+		// trip/re-admit flapping.
+		maxAttempts: (opts.Retries + 2) * len(opts.Workers) * (maxProbeFailures + 1),
+	}
+	c.breakers = make([]*breaker, len(opts.Workers))
+	for i := range c.breakers {
 		// Probe at the coordinator's own retry cadence: a breaker that
 		// cools down for seconds under a millisecond-backoff test
 		// configuration would stall the suite, and one that probes in
 		// milliseconds against production backoffs would hammer a sick
 		// worker.
-		opts.Breaker.Cooldown = 4 * opts.RetryBackoff
-	}
-	opts.Breaker = opts.Breaker.withDefaults()
-	if opts.HedgePercentile <= 0 || opts.HedgePercentile > 1 {
-		opts.HedgePercentile = 0.95
-	}
-	if opts.HedgeMultiplier <= 0 {
-		opts.HedgeMultiplier = 2
-	}
-	if opts.HedgeMinDelay <= 0 {
-		opts.HedgeMinDelay = 25 * time.Millisecond
-	}
-	if opts.HedgeMaxDelay <= 0 {
-		opts.HedgeMaxDelay = 10 * time.Second
-	}
-	if opts.DeadlinePercentile <= 0 || opts.DeadlinePercentile > 1 {
-		opts.DeadlinePercentile = 0.99
-	}
-	if opts.DeadlineMultiplier <= 0 {
-		opts.DeadlineMultiplier = 4
-	}
-	if opts.DeadlineFloor <= 0 {
-		opts.DeadlineFloor = time.Second
-	}
-	if opts.DeadlineCeil <= 0 {
-		opts.DeadlineCeil = 5 * time.Minute
-	}
-	c := &Coordinator{
-		opts:   opts,
-		client: opts.Client,
-		log:    opts.Logger,
-		stats:  telemetry.NewRegistry(),
-		// In-place retries per visit, times one visit per worker per
-		// probe cycle: finite under total loss, roomy under repeated
-		// trip/re-admit flapping.
-		maxAttempts: (opts.Retries + 2) * len(opts.Workers) * (opts.Breaker.MaxProbeFailures + 1),
-	}
-	c.breakers = make([]*breaker, len(opts.Workers))
-	for i := range c.breakers {
-		c.breakers[i] = newBreaker(opts.Breaker)
+		c.breakers[i] = newBreaker(4 * opts.RetryBackoff)
 	}
 	if c.client == nil {
 		c.client = &http.Client{}
@@ -235,18 +181,9 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// Stats snapshots the coordinator's sweep statistics (global, per-shard
-// and per-worker batch latency histograms, in milliseconds). Safe
-// during a running sweep.
-func (c *Coordinator) Stats() telemetry.Snapshot {
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	return c.stats.Snapshot()
-}
-
 // Breakers snapshots every worker's circuit breaker, keyed by worker
-// URL. Safe during a running sweep; the fleet monitor decorates its
-// health view with this.
+// URL. Safe during a running sweep; bcetables serves it as the
+// bce_breakers debug var.
 func (c *Coordinator) Breakers() map[string]BreakerSnapshot {
 	out := make(map[string]BreakerSnapshot, len(c.breakers))
 	for i, b := range c.breakers {
@@ -255,107 +192,21 @@ func (c *Coordinator) Breakers() map[string]BreakerSnapshot {
 	return out
 }
 
-// observeBatch records one completed batch request's latency under the
-// global, per-shard, and per-worker histograms. The global histogram
-// feeds the hedge threshold; the per-worker one feeds that worker's
-// adaptive deadline.
-func (c *Coordinator) observeBatch(shard, wi int, d time.Duration) {
-	ms := uint64(d.Milliseconds())
-	c.statsMu.Lock()
-	c.stats.Histogram("batch_ms").Observe(ms)
-	c.stats.Histogram(fmt.Sprintf("shard%d.batch_ms", shard)).Observe(ms)
-	c.stats.Histogram(fmt.Sprintf("worker%d.batch_ms", wi)).Observe(ms)
-	c.statsMu.Unlock()
-}
-
-// hedgeMinSamples and deadlineMinSamples gate the adaptive thresholds:
-// below these observation counts the latency histograms are noise and
-// the fixed-configuration behavior applies.
-const (
-	hedgeMinSamples    = 8
-	deadlineMinSamples = 8
-)
-
-// hedgeDelay returns how long a batch may be in flight before it is
-// hedged to a second worker, or 0 when hedging is off (disabled, a
-// single worker, or not enough latency history yet).
-func (c *Coordinator) hedgeDelay() time.Duration {
-	if c.opts.DisableHedging || len(c.opts.Workers) < 2 {
-		return 0
-	}
-	c.statsMu.Lock()
-	h := c.stats.Histogram("batch_ms")
-	n := h.Count()
-	q := h.Quantile(c.opts.HedgePercentile)
-	c.statsMu.Unlock()
-	if n < hedgeMinSamples {
-		return 0
-	}
-	d := time.Duration(float64(q)*c.opts.HedgeMultiplier) * time.Millisecond
-	if d < c.opts.HedgeMinDelay {
-		d = c.opts.HedgeMinDelay
-	}
-	if d > c.opts.HedgeMaxDelay {
-		d = c.opts.HedgeMaxDelay
-	}
-	return d
-}
-
-// deadlineFor returns the worker-side per-job deadline (ms) to stamp
-// on a batch dispatched to worker wi: the fixed JobTimeout until
-// AdaptiveDeadline has latency history, then pN × multiplier clamped
-// to the floor/ceiling.
-func (c *Coordinator) deadlineFor(wi int) int64 {
-	fixed := c.opts.JobTimeout.Milliseconds()
-	if !c.opts.AdaptiveDeadline {
-		return fixed
-	}
-	c.statsMu.Lock()
-	h := c.stats.Histogram(fmt.Sprintf("worker%d.batch_ms", wi))
-	n := h.Count()
-	q := h.Quantile(c.opts.DeadlinePercentile)
-	c.statsMu.Unlock()
-	if n < deadlineMinSamples {
-		return fixed
-	}
-	d := time.Duration(float64(q)*c.opts.DeadlineMultiplier) * time.Millisecond
-	if d < c.opts.DeadlineFloor {
-		d = c.opts.DeadlineFloor
-	}
-	if d > c.opts.DeadlineCeil {
-		d = c.opts.DeadlineCeil
-	}
-	return d.Milliseconds()
-}
-
-// pickHedge chooses a healthy worker other than the primary for a
-// hedged dispatch, preferring rotation order after the primary.
-func (c *Coordinator) pickHedge(primary int) (int, string, bool) {
+// pickHedge chooses the next admitted worker after the primary, in
+// rotation order, for a batch's backup dispatch.
+func (c *Coordinator) pickHedge(primary int) (string, bool) {
 	nw := len(c.opts.Workers)
 	for i := 1; i < nw; i++ {
 		wi := (primary + i) % nw
 		if c.breakers[wi].Closed() {
-			return wi, c.opts.Workers[wi], true
+			return c.opts.Workers[wi], true
 		}
 	}
-	return 0, "", false
+	return "", false
 }
 
-// recordOutcome feeds one request outcome to a worker's breaker,
-// counting the trip if this outcome caused one. Outcomes from
-// cancelled requests (hedge losers, sweep teardown) say nothing about
-// worker health and are dropped.
-func (c *Coordinator) recordOutcome(ctx context.Context, wi int, ok bool) {
-	if ctx.Err() != nil {
-		return
-	}
-	if c.breakers[wi].Record(ok) {
-		live.breakerTrips.Add(1)
-	}
-}
-
-// forceTrip opens a worker's breaker when its loop gives up for
-// reasons the outcome stream did not already trip on.
+// forceTrip evicts a worker: a batch exhausted its in-place retries
+// there, or the pre-sweep Ping could not reach it.
 func (c *Coordinator) forceTrip(wi int) {
 	if c.breakers[wi].Trip() {
 		live.breakerTrips.Add(1)
@@ -447,8 +298,9 @@ func (c *Coordinator) probeWorker(ctx context.Context, url string) bool {
 
 // Run executes the planned jobs across the workers. jobs and keys are
 // parallel slices, sorted by key (core.CollectJobs guarantees this),
-// which makes the sharding deterministic: job i goes to shard
-// i mod len(Workers), shards are cut into BatchSize batches in order.
+// which makes the batching deterministic: job i goes to shard
+// i mod len(Workers), shards are cut into BatchSize batches in order,
+// and the batches enter the shared queue interleaved across shards.
 // Run returns once every job has been merged through OnResult, or with
 // the first deterministic failure, or when undeliverable work remains.
 func (c *Coordinator) Run(ctx context.Context, jobs []core.JobSpec, keys []string) error {
@@ -461,30 +313,37 @@ func (c *Coordinator) Run(ctx context.Context, jobs []core.JobSpec, keys []strin
 	nw := len(c.opts.Workers)
 
 	// Deterministic sharding: round-robin over the key-sorted job list
-	// balances every benchmark mix across workers regardless of where
+	// balances every benchmark mix across shards regardless of where
 	// the expensive configurations cluster in key order.
 	shards := make([][]Job, nw)
 	for i := range jobs {
 		w := i % nw
 		shards[w] = append(shards[w], Job{Key: keys[i], Spec: jobs[i]})
 	}
-	var tasks [][]*task
-	total := 0
-	for si, shard := range shards {
-		var own []*task
-		for seq := 0; len(shard) > 0; seq++ {
+	// Cut each shard into BatchSize batches and interleave them: seq 0
+	// of every shard, then seq 1, and so on.
+	var tasks []*task
+	perShard := make([]int, nw)
+	for seq := 0; ; seq++ {
+		before := len(tasks)
+		for si, shard := range shards {
+			if len(shard) == 0 {
+				continue
+			}
 			n := min(c.opts.BatchSize, len(shard))
-			own = append(own, &task{batch: Batch{
+			tasks = append(tasks, &task{batch: Batch{
 				Schema:       SchemaVersion,
 				Shard:        si,
 				Seq:          seq,
 				JobTimeoutMS: c.opts.JobTimeout.Milliseconds(),
 				Jobs:         shard[:n],
 			}})
-			shard = shard[n:]
-			total++
+			shards[si] = shard[n:]
+			perShard[si]++
 		}
-		tasks = append(tasks, own)
+		if len(tasks) == before {
+			break
+		}
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
@@ -492,8 +351,10 @@ func (c *Coordinator) Run(ctx context.Context, jobs []core.JobSpec, keys []strin
 	c.cancel = cancel
 	c.doneCh = make(chan struct{})
 	c.doneOnce = sync.Once{}
+	c.tail = make(chan struct{})
+	c.tailOnce = sync.Once{}
 	c.firstErr = nil
-	c.pending.Store(int64(total))
+	c.pending.Store(int64(len(tasks)))
 	c.alive.Store(int64(nw))
 	c.mergedMu.Lock()
 	c.merged = make(map[string]struct{}, len(jobs))
@@ -501,9 +362,9 @@ func (c *Coordinator) Run(ctx context.Context, jobs []core.JobSpec, keys []strin
 	live.jobsDispatched.Add(uint64(len(jobs)))
 
 	// Open the sweep trace: a root span plus one span per shard. Shard
-	// spans end when their last task retires — possibly on a different
-	// worker than the shard was cut for — and any span still open when
-	// Run returns (abort paths) is closed below; End is idempotent.
+	// spans end when their last task retires, on whichever workers ran
+	// it, and any span still open when Run returns (abort paths) is
+	// closed below; End is idempotent.
 	if tr := c.opts.Tracer; tr != nil {
 		c.sweepSpan = tr.StartTrace("sweep")
 		c.sweepSpan.SetAttr("jobs", fmt.Sprint(len(jobs)))
@@ -512,9 +373,8 @@ func (c *Coordinator) Run(ctx context.Context, jobs []core.JobSpec, keys []strin
 		for si := range c.shards {
 			st := &shardTrace{span: tr.StartSpan("shard", c.sweepSpan.Context())}
 			st.span.SetAttr("shard", fmt.Sprint(si))
-			st.span.SetAttr("worker", c.opts.Workers[si])
-			st.pending.Store(int64(len(tasks[si])))
-			if len(tasks[si]) == 0 {
+			st.pending.Store(int64(perShard[si]))
+			if perShard[si] == 0 {
 				st.span.End()
 			}
 			c.shards[si] = st
@@ -528,18 +388,20 @@ func (c *Coordinator) Run(ctx context.Context, jobs []core.JobSpec, keys []strin
 		}()
 	}
 
-	// Orphan queue: batches whose worker was evicted, awaiting
-	// reassignment. Sized so every task can be requeued at its full
-	// attempt budget without a push ever blocking.
-	orphans := make(chan *task, total*(c.maxAttempts+1)+nw)
+	// Sized so every task can be requeued at its full attempt budget
+	// without a push ever blocking.
+	c.queue = make(chan *task, len(tasks)*(c.maxAttempts+1)+nw)
+	for _, t := range tasks {
+		c.queue <- t
+	}
 
 	var wg sync.WaitGroup
 	for wi, url := range c.opts.Workers {
 		wg.Add(1)
-		go func(wi int, url string, own []*task) {
+		go func(wi int, url string) {
 			defer wg.Done()
-			c.workerLoop(runCtx, wi, url, own, orphans)
-		}(wi, url, tasks[wi])
+			c.workerLoop(runCtx, wi, url)
+		}(wi, url)
 	}
 	wg.Wait()
 
@@ -575,9 +437,9 @@ func (c *Coordinator) finish() {
 	}
 }
 
-// requeue puts a task back up for grabs by healthy workers, aborting
-// if its attempt budget is spent or the queue is impossibly full.
-func (c *Coordinator) requeue(t *task, orphans chan *task) bool {
+// requeue puts a task back on the shared queue, aborting if its
+// attempt budget is spent or the queue is impossibly full.
+func (c *Coordinator) requeue(t *task) bool {
 	t.attempts++
 	if t.attempts > c.maxAttempts {
 		c.abort(fmt.Errorf("dist: shard %d batch %d undeliverable after %d attempts",
@@ -585,25 +447,44 @@ func (c *Coordinator) requeue(t *task, orphans chan *task) bool {
 		return false
 	}
 	select {
-	case orphans <- t:
+	case c.queue <- t:
 		live.jobsRequeued.Add(uint64(len(t.batch.Jobs)))
 		return true
 	default:
-		c.abort(fmt.Errorf("dist: orphan queue overflow (shard %d batch %d)", t.batch.Shard, t.batch.Seq))
+		c.abort(fmt.Errorf("dist: task queue overflow (shard %d batch %d)", t.batch.Shard, t.batch.Seq))
 		return false
 	}
 }
 
-// workerLoop drives one worker: it drains the worker's own shard, then
-// steals orphaned batches from evicted workers until the sweep
-// completes. When the worker's circuit breaker opens — tripped by the
-// outcome stream or forced after a task exhausts its in-place retries
-// — the loop requeues everything it holds (so healthy workers pick it
-// up immediately) and switches to half-open probing; a passing probe
-// re-admits the worker into the rotation, and an exhausted probe
-// budget declares it permanently lost. The last loop to die with work
-// still pending aborts the sweep.
-func (c *Coordinator) workerLoop(ctx context.Context, wi int, url string, own []*task, orphans chan *task) {
+// next takes a task off the shared queue, blocking until one arrives
+// or the sweep ends. The first time any loop finds the queue empty it
+// closes the tail latch.
+func (c *Coordinator) next(ctx context.Context) (*task, bool) {
+	select {
+	case t := <-c.queue:
+		return t, true
+	default:
+	}
+	c.tailOnce.Do(func() { close(c.tail) })
+	select {
+	case <-ctx.Done():
+		return nil, false
+	case <-c.doneCh:
+		return nil, false
+	case t := <-c.queue:
+		return t, true
+	}
+}
+
+// workerLoop drives one worker: it takes batches off the shared queue
+// until the sweep completes. When a batch exhausts its in-place
+// retries the worker is evicted — the batch goes back on the queue for
+// the other loops — and the loop switches to half-open probing; a
+// passing probe re-admits the worker, and an exhausted probe budget
+// declares it permanently lost. A worker that the pre-sweep Ping could
+// not reach starts out evicted. The last loop to die with work still
+// pending aborts the sweep.
+func (c *Coordinator) workerLoop(ctx context.Context, wi int, url string) {
 	br := c.breakers[wi]
 	var failed *task
 	for {
@@ -612,22 +493,13 @@ func (c *Coordinator) workerLoop(ctx context.Context, wi int, url string, own []
 		}
 		if failed != nil || !br.Closed() {
 			c.forceTrip(wi)
-			n := len(own)
-			if failed != nil {
-				n++
-			}
 			live.workersLost.Add(1)
 			c.log.WarnContext(telemetry.ContextWithSpan(ctx, c.sweepSpan),
-				"worker lost; reassigning batches", "url", url, "batches", n,
-				"breaker", br.Snapshot().State)
+				"worker lost; reassigning its batch", "url", url, "requeued", failed != nil)
 			if failed != nil {
-				c.requeue(failed, orphans)
+				c.requeue(failed)
 				failed = nil
 			}
-			for _, t := range own {
-				c.requeue(t, orphans)
-			}
-			own = nil
 			readmitted, lost := c.probeUntilHealthy(ctx, wi, url)
 			if lost {
 				c.log.ErrorContext(telemetry.ContextWithSpan(ctx, c.sweepSpan),
@@ -644,20 +516,11 @@ func (c *Coordinator) workerLoop(ctx context.Context, wi int, url string, own []
 				"worker re-admitted after successful probe", "url", url)
 			continue
 		}
-		var t *task
-		if len(own) > 0 {
-			t = own[0]
-			own = own[1:]
-		} else {
-			select {
-			case <-ctx.Done():
-				return
-			case <-c.doneCh:
-				return
-			case t = <-orphans:
-			}
+		t, ok := c.next(ctx)
+		if !ok {
+			return
 		}
-		if !c.handle(ctx, wi, url, t, orphans) {
+		if !c.handle(ctx, wi, url, t) {
 			failed = t
 		}
 	}
@@ -703,7 +566,7 @@ func (c *Coordinator) probeUntilHealthy(ctx context.Context, wi int, url string)
 // when the worker must be evicted (the caller requeues t and starts
 // probing); fatal errors abort the whole sweep and return true so the
 // loop winds down via context cancellation.
-func (c *Coordinator) handle(ctx context.Context, wi int, url string, t *task, orphans chan *task) bool {
+func (c *Coordinator) handle(ctx context.Context, wi int, url string, t *task) bool {
 	requeueJobs, err := c.runTask(ctx, wi, url, t)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -716,11 +579,11 @@ func (c *Coordinator) handle(ctx context.Context, wi int, url string, t *task, o
 		return true
 	}
 	if len(requeueJobs) > 0 {
-		// Worker-side transient failures (per-job deadline expiry):
-		// spin the survivors into a fresh task before retiring this one
-		// so the pending count never momentarily hits zero. The shard's
-		// trace pending count moves in lockstep so its span outlives the
-		// retried work.
+		// Worker-side transient failures (per-job deadline expiry): the
+		// failed jobs go back on the queue together as one task, created
+		// before this one retires so the pending count never
+		// momentarily hits zero. The shard's trace pending count moves
+		// in lockstep so its span outlives the retried work.
 		nt := &task{
 			batch: Batch{
 				Schema:       SchemaVersion,
@@ -735,7 +598,7 @@ func (c *Coordinator) handle(ctx context.Context, wi int, url string, t *task, o
 		if st := c.shardFor(nt); st != nil {
 			st.pending.Add(1)
 		}
-		if c.requeue(nt, orphans) {
+		if c.requeue(nt) {
 			c.log.InfoContext(telemetry.ContextWithSpan(ctx, c.sweepSpan), "transient job failures requeued",
 				"jobs", len(requeueJobs), "url", url)
 		}
@@ -754,13 +617,13 @@ type postOutcome struct {
 }
 
 // runTask delivers one batch: it dispatches to the primary worker
-// (with in-place retries), optionally hedges to a second worker when
-// the batch outlives the adaptive latency threshold, merges the first
-// successful reply, and cancels the loser. Deterministic failures —
-// malformed batch (HTTP 400 from the worker), schema skew, a job error
-// the worker marked permanent — come back as non-transient errors.
+// (with in-place retries) and, once the sweep reaches its tail (the
+// shared queue has run dry), re-issues the batch once to the next
+// admitted worker. The first successful reply merges and the loser is
+// cancelled. Deterministic failures — malformed batch (HTTP 400 from
+// the worker), schema skew, a job error the worker marked permanent —
+// come back as non-transient errors.
 func (c *Coordinator) runTask(ctx context.Context, wi int, url string, t *task) ([]Job, error) {
-	t.batch.JobTimeoutMS = c.deadlineFor(wi)
 	payload, err := EncodeBatch(t.batch)
 	if err != nil {
 		return nil, fmt.Errorf("dist: encode batch: %w", err)
@@ -783,75 +646,55 @@ func (c *Coordinator) runTask(ctx context.Context, wi int, url string, t *task) 
 	resCh := make(chan postOutcome, 2)
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
+	hctx, hcancel := context.WithCancel(ctx)
+	defer hcancel()
 	go func() {
-		reply, err := c.postRetry(pctx, wi, url, payload, span, t.batch.Shard)
+		reply, err := c.postRetry(pctx, url, payload, span)
 		resCh <- postOutcome{reply: reply, err: err}
 	}()
 
-	issued := 1
-	var first *postOutcome
-	var hcancel context.CancelFunc
-	if delay := c.hedgeDelay(); delay > 0 {
-		timer := time.NewTimer(delay)
-		select {
-		case out := <-resCh:
-			timer.Stop()
-			first = &out
-		case <-timer.C:
-			if hwi, hurl, ok := c.pickHedge(wi); ok {
-				var hctx context.Context
-				hctx, hcancel = context.WithCancel(ctx)
-				defer hcancel()
-				live.hedgesIssued.Add(1)
-				span.SetAttr("hedged", "true")
-				span.SetAttr("hedge_url", hurl)
-				c.log.InfoContext(telemetry.ContextWithSpan(ctx, span), "hedging slow batch",
-					"shard", t.batch.Shard, "seq", t.batch.Seq,
-					"primary", url, "hedge", hurl, "threshold", delay)
-				go func() {
-					start := time.Now()
-					reply, err := c.post(hctx, hurl, payload, span.Context())
-					c.recordOutcome(hctx, hwi, err == nil)
-					if err == nil {
-						c.observeBatch(t.batch.Shard, hwi, time.Since(start))
-					}
-					resCh <- postOutcome{reply: reply, err: err, hedge: true}
-				}()
-				issued = 2
-			}
-		}
-	}
-
 	// Take the first success; cancel the loser, then drain it (fast —
-	// its context is gone) so no goroutine outlives the task.
+	// its context is gone) so no goroutine outlives the task. The tail
+	// latch fires at most once per task: a nil channel never selects.
+	tail := c.tail
 	var win *postOutcome
 	var firstErr error
-	received := 0
-	if first != nil {
-		received = 1
-		if first.err == nil {
-			win = first
-		} else {
-			firstErr = first.err
-		}
-	}
+	issued, received := 1, 0
 	for received < issued {
-		out := <-resCh
-		received++
-		switch {
-		case out.err == nil && win == nil:
-			win = &out
-			if out.hedge {
-				live.hedgeWins.Add(1)
-				pcancel()
-			} else if hcancel != nil {
-				hcancel()
+		select {
+		case <-tail:
+			tail = nil
+			hurl, ok := c.pickHedge(wi)
+			if !ok {
+				continue
 			}
-		case out.err != nil && win == nil:
-			// Keep the most decisive error: deterministic beats
-			// transient (it must abort the sweep, not evict a worker).
-			if firstErr == nil || (!runner.IsTransient(out.err) && runner.IsTransient(firstErr)) {
-				firstErr = out.err
+			live.hedgesIssued.Add(1)
+			span.SetAttr("hedged", "true")
+			span.SetAttr("hedge_url", hurl)
+			c.log.InfoContext(telemetry.ContextWithSpan(ctx, span), "hedging tail batch",
+				"shard", t.batch.Shard, "seq", t.batch.Seq, "primary", url, "hedge", hurl)
+			go func() {
+				reply, err := c.post(hctx, hurl, payload, span.Context())
+				resCh <- postOutcome{reply: reply, err: err, hedge: true}
+			}()
+			issued++
+		case out := <-resCh:
+			received++
+			switch {
+			case out.err == nil && win == nil:
+				win = &out
+				if out.hedge {
+					live.hedgeWins.Add(1)
+					pcancel()
+				} else {
+					hcancel()
+				}
+			case out.err != nil && win == nil:
+				// Keep the most decisive error: deterministic beats
+				// transient (it must abort the sweep, not evict a worker).
+				if firstErr == nil || (!runner.IsTransient(out.err) && runner.IsTransient(firstErr)) {
+					firstErr = out.err
+				}
 			}
 		}
 	}
@@ -868,11 +711,8 @@ func (c *Coordinator) runTask(ctx context.Context, wi int, url string, t *task) 
 }
 
 // postRetry POSTs one batch to one worker, retrying transient
-// transport failures in place with capped exponential backoff. Every
-// attempt's outcome feeds the worker's breaker; once the breaker
-// trips, remaining in-place retries are pointless (the worker is being
-// evicted) and the last error returns immediately.
-func (c *Coordinator) postRetry(ctx context.Context, wi int, url string, payload []byte, span *telemetry.Span, shard int) (BatchResult, error) {
+// transport failures in place with capped exponential backoff.
+func (c *Coordinator) postRetry(ctx context.Context, url string, payload []byte, span *telemetry.Span) (BatchResult, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
 		if attempt > 0 {
@@ -884,11 +724,8 @@ func (c *Coordinator) postRetry(ctx context.Context, wi int, url string, payload
 			case <-time.After(runner.Backoff{Initial: c.opts.RetryBackoff}.Delay(attempt - 1)):
 			}
 		}
-		start := time.Now()
 		reply, err := c.post(ctx, url, payload, span.Context())
-		c.recordOutcome(ctx, wi, err == nil)
 		if err == nil {
-			c.observeBatch(shard, wi, time.Since(start))
 			return reply, nil
 		}
 		lastErr = err
@@ -897,9 +734,6 @@ func (c *Coordinator) postRetry(ctx context.Context, wi int, url string, payload
 		}
 		c.log.WarnContext(telemetry.ContextWithSpan(ctx, span), "batch attempt failed",
 			"url", url, "attempt", attempt+1, "attempts", c.opts.Retries+1, "err", err)
-		if !c.breakers[wi].Closed() {
-			break
-		}
 	}
 	return BatchResult{}, lastErr
 }

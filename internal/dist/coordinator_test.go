@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -89,6 +91,53 @@ func testWorkerServer(name string, exec func(context.Context, core.JobSpec) (met
 	return httptest.NewServer(NewWorker(WorkerOptions{Name: name, Exec: exec}).Handler())
 }
 
+// spreadWorkers starts one stub worker per name on which every worker
+// provably merges work. Each worker's jobs wait until every worker has
+// received one, so no worker can drain the shared queue alone, and only
+// the first delivery of a batch is served: a tail hedge of a batch that
+// is already running elsewhere hangs until cancelled, so it never
+// steals a worker's first result.
+func spreadWorkers(t *testing.T, names ...string) []string {
+	t.Helper()
+	var all sync.WaitGroup
+	all.Add(len(names))
+	var mu sync.Mutex
+	delivered := map[[2]int]bool{}
+	urls := make([]string, len(names))
+	for i, name := range names {
+		var once sync.Once
+		exec := func(ctx context.Context, j core.JobSpec) (metrics.Run, error) {
+			once.Do(all.Done)
+			all.Wait()
+			return stubExec(ctx, j)
+		}
+		inner := NewWorker(WorkerOptions{Name: name, Exec: exec}).Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+			if req.URL.Path == PathExec {
+				body, err := io.ReadAll(req.Body)
+				if err != nil {
+					return
+				}
+				req.Body = io.NopCloser(bytes.NewReader(body))
+				if b, err := DecodeBatch(body); err == nil {
+					mu.Lock()
+					dup := delivered[[2]int{b.Shard, b.Seq}]
+					delivered[[2]int{b.Shard, b.Seq}] = true
+					mu.Unlock()
+					if dup {
+						<-req.Context().Done()
+						return
+					}
+				}
+			}
+			inner.ServeHTTP(rw, req)
+		}))
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	return urls
+}
+
 func fastOpts(urls []string, sink *mergeSink) Options {
 	return Options{
 		Workers:      urls,
@@ -100,14 +149,9 @@ func fastOpts(urls []string, sink *mergeSink) Options {
 }
 
 func TestCoordinatorMergesEveryJob(t *testing.T) {
-	w1 := testWorkerServer("w1", nil)
-	defer w1.Close()
-	w2 := testWorkerServer("w2", nil)
-	defer w2.Close()
-
 	jobs, keys := jobSet(t, 11)
 	sink := newMergeSink()
-	coord, err := NewCoordinator(fastOpts([]string{w1.URL, w2.URL}, sink))
+	coord, err := NewCoordinator(fastOpts(spreadWorkers(t, "w1", "w2"), sink))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,15 +167,18 @@ func TestCoordinatorMergesEveryJob(t *testing.T) {
 	if sink.dups != 0 {
 		t.Errorf("%d duplicate merges (each key must merge exactly once)", sink.dups)
 	}
-	// Round-robin sharding: both workers must have done work.
+	// Shared queue: both workers must have done work.
 	if sink.workers["w1"] == 0 || sink.workers["w2"] == 0 {
-		t.Errorf("sharding skew: %v", sink.workers)
+		t.Errorf("one worker did all the work: %v", sink.workers)
 	}
 }
 
 func TestCoordinatorReassignsFromDeadWorker(t *testing.T) {
 	ResetStats()
-	alive := testWorkerServer("alive", nil)
+	// The live worker is slow enough that the dead one exhausts its
+	// in-place retries and is evicted before the queue runs dry; a
+	// faster sweep would rescue its batch by a tail hedge instead.
+	alive := testWorkerServer("alive", slowExec(3*time.Millisecond))
 	defer alive.Close()
 	dead := testWorkerServer("dead", nil)
 	dead.Close() // every request refused: connection error from the start

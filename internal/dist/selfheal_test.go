@@ -18,10 +18,9 @@ import (
 )
 
 // selfheal_test.go covers the coordinator's self-healing machinery:
-// per-worker circuit breakers with half-open probing and re-admission,
-// hedged batch dispatch, adaptive deadlines, exactly-once merging
-// under partial/duplicated replies, and concurrent observability
-// reads.
+// worker eviction with half-open probing and re-admission, tail
+// hedging, exactly-once merging under partial/duplicated replies, and
+// concurrent observability reads.
 
 // slowExec wraps stubExec with a fixed per-job delay, stretching a
 // sweep so background machinery (probes, hedges) has time to act.
@@ -230,25 +229,18 @@ func TestPingFailsWhenAllWorkersUnreachable(t *testing.T) {
 	}
 }
 
-// TestCoordinatorHedgesStragglers pins a straggler: the primary worker
-// hangs forever on its last batch (after enough fast batches to arm
-// the adaptive hedge threshold). The hedge must re-issue the batch to
-// the healthy worker, take its result, and cancel the straggler — with
-// every job still merged exactly once.
+// TestCoordinatorHedgesStragglers pins a straggler: after serving its
+// first two jobs, the primary worker hangs forever on every job it is
+// given. The rescuer drains the rest of the shared queue; once the
+// queue runs dry, the tail hedge must re-issue the hung batch to the
+// rescuer, take its result, and cancel the straggler — with every job
+// still merged exactly once.
 func TestCoordinatorHedgesStragglers(t *testing.T) {
 	ResetStats()
 	jobs, keys := jobSet(t, 36)
-	// Round-robin sharding sends even sweep indices to worker 0; with
-	// BatchSize 2 its 9th batch holds indices 32 and 34. Worker 0 hangs
-	// on exactly those jobs — by then its own 8 completed batches have
-	// armed the hedge threshold (hedgeMinSamples).
-	hang := map[string]bool{keys[32]: true, keys[34]: true}
+	var served atomic.Int64
 	hangingExec := func(ctx context.Context, j core.JobSpec) (metrics.Run, error) {
-		key, err := j.Key()
-		if err != nil {
-			return metrics.Run{}, err
-		}
-		if hang[key] {
+		if served.Add(1) > 2 {
 			<-ctx.Done()
 			return metrics.Run{}, ctx.Err()
 		}
@@ -260,10 +252,7 @@ func TestCoordinatorHedgesStragglers(t *testing.T) {
 	defer w2.Close()
 
 	sink := newMergeSink()
-	opts := fastOpts([]string{w1.URL, w2.URL}, sink)
-	opts.HedgeMinDelay = 5 * time.Millisecond
-	opts.HedgeMaxDelay = 50 * time.Millisecond
-	coord, err := NewCoordinator(opts)
+	coord, err := NewCoordinator(fastOpts([]string{w1.URL, w2.URL}, sink))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,58 +278,9 @@ func TestCoordinatorHedgesStragglers(t *testing.T) {
 	}
 }
 
-// TestAdaptiveDeadlineDerivation checks deadlineFor's policy directly:
-// fixed JobTimeout until a worker has latency history, then
-// pN × multiplier clamped to the floor and ceiling.
-func TestAdaptiveDeadlineDerivation(t *testing.T) {
-	coord, err := NewCoordinator(Options{
-		Workers:            []string{"http://a", "http://b", "http://c", "http://d"},
-		JobTimeout:         7 * time.Second,
-		AdaptiveDeadline:   true,
-		DeadlineMultiplier: 4,
-		DeadlineFloor:      time.Millisecond,
-		DeadlineCeil:       2 * time.Second,
-		OnResult:           func(string, Job, metrics.Run) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No history yet: the fixed timeout applies.
-	if got := coord.deadlineFor(0); got != 7000 {
-		t.Errorf("deadline with no history = %dms, want fixed 7000", got)
-	}
-	// Worker 0: ~50ms batches. The log2 histogram's p99 upper edge for
-	// 50 is 63, times the multiplier = 252ms.
-	for i := 0; i < deadlineMinSamples; i++ {
-		coord.observeBatch(0, 0, 50*time.Millisecond)
-	}
-	if got := coord.deadlineFor(0); got != 252 {
-		t.Errorf("deadline after 50ms history = %dms, want 252", got)
-	}
-	// Worker 1: sub-millisecond batches clamp to the floor.
-	for i := 0; i < deadlineMinSamples; i++ {
-		coord.observeBatch(0, 1, 0)
-	}
-	if got := coord.deadlineFor(1); got != 1 {
-		t.Errorf("deadline for sub-ms history = %dms, want floor 1", got)
-	}
-	// Worker 2: slow batches clamp to the ceiling.
-	for i := 0; i < deadlineMinSamples; i++ {
-		coord.observeBatch(0, 2, 900*time.Millisecond)
-	}
-	if got := coord.deadlineFor(2); got != 2000 {
-		t.Errorf("deadline for 900ms history = %dms, want ceiling 2000", got)
-	}
-	// Worker 3 has no history even though others do.
-	if got := coord.deadlineFor(3); got != 7000 {
-		t.Errorf("deadline for historyless worker = %dms, want fixed 7000", got)
-	}
-}
-
 // TestConcurrentSnapshotsDuringChaoticSweep hammers every
-// observability read path — coordinator stats, breaker snapshots, live
-// counters, fleet snapshots with a breaker source — while a sweep is
-// rebalancing around a flapping worker. Run under -race this is the
+// observability read path — breaker snapshots and live counters —
+// while a sweep is rebalancing around a flapping worker. Run under -race this is the
 // data-race property test for the self-healing machinery.
 func TestConcurrentSnapshotsDuringChaoticSweep(t *testing.T) {
 	ResetStats()
@@ -356,19 +296,10 @@ func TestConcurrentSnapshotsDuringChaoticSweep(t *testing.T) {
 
 	jobs, keys := jobSet(t, 20)
 	sink := newMergeSink()
-	opts := fastOpts([]string{w1.URL, w2.URL}, sink)
-	opts.HedgeMinDelay = 5 * time.Millisecond
-	coord, err := NewCoordinator(opts)
+	coord, err := NewCoordinator(fastOpts([]string{w1.URL, w2.URL}, sink))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet := NewFleet(FleetOptions{
-		Workers:  []string{w1.URL, w2.URL},
-		Interval: 2 * time.Millisecond,
-	})
-	fleet.SetBreakerSource(coord.Breakers)
-	fctx, fcancel := context.WithCancel(context.Background())
-	fleet.Start(fctx)
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -382,18 +313,14 @@ func TestConcurrentSnapshotsDuringChaoticSweep(t *testing.T) {
 					return
 				default:
 				}
-				_ = coord.Stats()
 				_ = coord.Breakers()
 				_ = Snapshot()
-				_ = fleet.Snapshot()
 			}
 		}()
 	}
 	err = coord.Run(context.Background(), jobs, keys)
 	close(stop)
 	readers.Wait()
-	fcancel()
-	fleet.Wait()
 	if err != nil {
 		t.Fatalf("sweep failed under concurrent observation: %v", err)
 	}
@@ -403,9 +330,9 @@ func TestConcurrentSnapshotsDuringChaoticSweep(t *testing.T) {
 }
 
 // TestWorkerMetricsExposeRetryAndQuarantine validates — through the
-// same Prometheus parser the fleet monitor uses — that a worker's
-// /metrics page carries the runner's retry and store-quarantine
-// counters the fleet scrapes for sick-host detection.
+// same Prometheus parser promcheck uses — that a worker's /metrics
+// page carries the runner's retry and store-quarantine counters, the
+// sick-host signals an operator scrapes.
 func TestWorkerMetricsExposeRetryAndQuarantine(t *testing.T) {
 	w := testWorkerServer("w", nil)
 	defer w.Close()
@@ -428,48 +355,6 @@ func TestWorkerMetricsExposeRetryAndQuarantine(t *testing.T) {
 			t.Errorf("worker /metrics missing %s", name)
 		}
 	}
-}
-
-// TestFleetReportsBreakerStates checks that a fleet snapshot decorates
-// each worker's scraped health with the coordinator-side breaker state
-// and the scraped retry/quarantine counters.
-func TestFleetReportsBreakerStates(t *testing.T) {
-	w := testWorkerServer("w", nil)
-	defer w.Close()
-	fleet := NewFleet(FleetOptions{Workers: []string{w.URL}})
-	fleet.SetBreakerSource(func() map[string]BreakerSnapshot {
-		return map[string]BreakerSnapshot{w.URL: {State: "half-open", Trips: 3}}
-	})
-	fleet.pollAll(context.Background())
-	snap := fleet.Snapshot()
-	h, ok := snap.PerWorker[w.URL]
-	if !ok || !h.Up {
-		t.Fatalf("worker not polled up: %+v", snap)
-	}
-	if h.Breaker != "half-open" {
-		t.Errorf("breaker state = %q, want half-open", h.Breaker)
-	}
-	// The scraped counters exist (zero on a fresh worker is fine); a
-	// scrape that could not find them would also have failed the Up
-	// check if the page were missing, so assert via the JSON shape.
-	data, err := json.Marshal(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, field := range []string{"jobs_retried", "store_quarantined", "breaker"} {
-		if !json.Valid(data) || !containsField(data, field) {
-			t.Errorf("fleet health JSON missing %q: %s", field, data)
-		}
-	}
-}
-
-func containsField(data []byte, field string) bool {
-	var m map[string]any
-	if err := json.Unmarshal(data, &m); err != nil {
-		return false
-	}
-	_, ok := m[field]
-	return ok
 }
 
 // TestWorkerAnswersCorruptionWith409 posts a valid batch under a

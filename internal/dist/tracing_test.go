@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"bce/internal/metrics"
 	"bce/internal/telemetry"
@@ -104,15 +103,10 @@ func TestDecodeBatchResultRejectsBadSpans(t *testing.T) {
 // processes, worker job spans parented (transitively) on coordinator
 // shard spans, and a span per job.
 func TestCoordinatorTracedSweep(t *testing.T) {
-	w1 := testWorkerServer("w1", nil)
-	defer w1.Close()
-	w2 := testWorkerServer("w2", nil)
-	defer w2.Close()
-
 	jobs, keys := jobSet(t, 9)
 	sink := newMergeSink()
 	tracer := telemetry.NewTracer("coordinator")
-	opts := fastOpts([]string{w1.URL, w2.URL}, sink)
+	opts := fastOpts(spreadWorkers(t, "w1", "w2"), sink)
 	opts.Tracer = tracer
 	coord, err := NewCoordinator(opts)
 	if err != nil {
@@ -210,62 +204,4 @@ func TestCoordinatorUntracedSendsNoHeaders(t *testing.T) {
 	if sawHeader {
 		t.Error("untraced coordinator sent trace-context headers")
 	}
-}
-
-// TestFleetPollsWorkers scrapes a real worker handler and a dead URL.
-func TestFleetPollsWorkers(t *testing.T) {
-	w := NewWorker(WorkerOptions{Name: "fw", Exec: stubExec})
-	srv := httptest.NewServer(w.Handler())
-	defer srv.Close()
-	dead := httptest.NewServer(http.NotFoundHandler())
-	deadURL := dead.URL
-	dead.Close()
-
-	fleet := NewFleet(FleetOptions{
-		Workers:  []string{srv.URL, deadURL},
-		Interval: 10 * time.Millisecond,
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	fleet.Start(ctx)
-	deadline := time.Now().Add(5 * time.Second)
-	var snap FleetSnapshot
-	for {
-		snap = fleet.Snapshot()
-		if snap.WorkersUp == 1 && snap.WorkersDown == 1 && snap.WorkersReady == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fleet never converged: %+v", snap)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	cancel()
-	fleet.Wait()
-
-	h := snap.PerWorker[srv.URL]
-	if !h.Up || !h.Ready || h.Polls == 0 {
-		t.Errorf("live worker health: %+v", h)
-	}
-	if d := snap.PerWorker[deadURL]; d.Up || d.Failures == 0 {
-		t.Errorf("dead worker health: %+v", d)
-	}
-
-	// Readiness flips propagate on the next poll.
-	w.SetReady(false)
-	deadline = time.Now().Add(5 * time.Second)
-	fleet2 := NewFleet(FleetOptions{Workers: []string{srv.URL}, Interval: 10 * time.Millisecond})
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	fleet2.Start(ctx2)
-	for {
-		s := fleet2.Snapshot()
-		if s.WorkersUp == 1 && s.WorkersReady == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("unready worker still reported ready: %+v", s)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	cancel2()
-	fleet2.Wait()
 }

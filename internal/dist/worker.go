@@ -74,14 +74,14 @@ func NewWorker(opts WorkerOptions) *Worker {
 }
 
 // SetReady flips the /readyz answer. cmd/bceworker marks the worker
-// unready when shutdown begins, so a fleet monitor (or load balancer)
+// unready when shutdown begins, so a health checker (or load balancer)
 // stops handing it new sweeps while in-flight batches drain.
 func (w *Worker) SetReady(ready bool) { w.ready.Store(ready) }
 
 // Handler returns the worker's HTTP surface: PathExec (batch
-// execution), PathPing (liveness + schema handshake), and — because
-// the coordinator's fleet monitor knows only this base URL — /healthz,
-// /readyz, and a Prometheus /metrics page. Mount it on any mux;
+// execution), PathPing (liveness + schema handshake), and — so a
+// scraper needs only the base URL the coordinator already has —
+// /healthz, /readyz, and a Prometheus /metrics page. Mount it on any mux;
 // cmd/bceworker serves it alongside the debug endpoints.
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -128,8 +128,8 @@ func (w *Worker) Stats() telemetry.Snapshot {
 }
 
 // serveMetrics renders the worker's counters in Prometheus text form
-// on the API port, so the fleet monitor scrapes the URL it already
-// has instead of needing a second per-worker debug address.
+// on the API port, so a scraper uses the worker URL it already has
+// instead of needing a second per-worker debug address.
 func (w *Worker) serveMetrics(rw http.ResponseWriter, _ *http.Request) {
 	rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	telemetry.WriteBuildInfo(rw)

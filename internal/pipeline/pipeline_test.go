@@ -9,6 +9,7 @@ import (
 	"bce/internal/config"
 	"bce/internal/gating"
 	"bce/internal/metrics"
+	"bce/internal/telemetry"
 	"bce/internal/trace"
 	"bce/internal/workload"
 )
@@ -108,6 +109,77 @@ func TestGatingWithAlwaysHighMatchesBaseline(t *testing.T) {
 			t.Errorf("trial %d: always-high gated %d cycles", trial, g.GatedCycles)
 		}
 	})
+}
+
+// retireRecorder is a telemetry sink keeping the retired PC stream.
+type retireRecorder struct{ pcs []uint64 }
+
+func (r *retireRecorder) Emit(e telemetry.Event) {
+	if e.Kind == telemetry.EvRetire {
+		r.pcs = append(r.pcs, e.PC)
+	}
+}
+
+// TestRetiredStreamIdentityAcrossGatingAndReversal is a property over
+// random machines: gating only delays fetch and reversal only changes
+// which path is fetched, so neither may change what retires. Every
+// configuration's retired PC stream must equal the ungated one over
+// their common prefix, and a single Run overshoots its target by less
+// than one retire group, so the lengths differ by less than
+// RetireWidth.
+func TestRetiredStreamIdentityAcrossGatingAndReversal(t *testing.T) {
+	cicRev := func() confidence.Estimator {
+		return confidence.NewCICWith(confidence.CICConfig{Lambda: -75, Reversal: 50})
+	}
+	configs := []struct {
+		name             string
+		opt              func() Options
+		gates, reversals bool
+	}{
+		{"cic0-pl1", func() Options { return Options{Estimator: confidence.NewCIC(0), Gating: gating.PL(1)} }, true, false},
+		{"cic0-pl3", func() Options { return Options{Estimator: confidence.NewCIC(0), Gating: gating.PL(3)} }, true, false},
+		{"cic-75-rev50", func() Options { return Options{Estimator: cicRev(), Reversal: true} }, false, true},
+		{"cic-75-rev50-pl2", func() Options { return Options{Estimator: cicRev(), Reversal: true, Gating: gating.PL(2)} }, true, true},
+		{"oracle-pl1", func() Options { return Options{Estimator: confidence.NewOracle(), Gating: gating.PL(1)} }, true, false},
+	}
+	// Reversals are tallied per configuration across trials: a short run
+	// on some benchmarks never trains CIC outputs up to the reversal
+	// threshold, but the property must not hold vacuously overall.
+	reversals := make([]uint64, len(configs))
+	randomTrials(t, 53, 8, func(trial int, m config.Machine, bench string, warm, measure uint64) {
+		// One Run over the whole span: each Run call may overshoot by up
+		// to RetireWidth-1, and a second call would double the slack.
+		record := func(opt Options) ([]uint64, metrics.Run) {
+			rec := &retireRecorder{}
+			opt.Machine, opt.Sink = m, rec
+			r := New(opt, gen(t, bench)).Run(warm + measure)
+			return rec.pcs, r
+		}
+		base, _ := record(Options{})
+		for ci, c := range configs {
+			got, r := record(c.opt())
+			if c.gates && r.GateEvents == 0 {
+				t.Errorf("trial %d (%s, %s): no gate events; the property is vacuous", trial, bench, c.name)
+			}
+			reversals[ci] += r.Reversals
+			n := min(len(base), len(got))
+			for i := 0; i < n; i++ {
+				if base[i] != got[i] {
+					t.Errorf("trial %d (%s, %s): retired PC %d is %#x, ungated %#x", trial, bench, c.name, i, got[i], base[i])
+					break
+				}
+			}
+			if d := len(base) - len(got); d <= -m.RetireWidth || d >= m.RetireWidth {
+				t.Errorf("trial %d (%s, %s): retired %d uops, ungated %d (RetireWidth %d)",
+					trial, bench, c.name, len(got), len(base), m.RetireWidth)
+			}
+		}
+	})
+	for ci, c := range configs {
+		if c.reversals && reversals[ci] == 0 {
+			t.Errorf("%s: no reversals in any trial; the property is vacuous", c.name)
+		}
+	}
 }
 
 func TestGatingWithOracleEstimator(t *testing.T) {

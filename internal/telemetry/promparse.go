@@ -10,8 +10,7 @@ import (
 
 // promparse.go is a small parser for the Prometheus text exposition
 // format (version 0.0.4) — enough to validate our own /metrics output
-// in tests and CI, and for the coordinator's fleet monitor to read
-// worker metrics, without a client_golang dependency. It handles HELP
+// in tests and CI (promcheck), without a client_golang dependency. It handles HELP
 // and TYPE comments, labeled and unlabeled samples, and label-value
 // escape sequences; it rejects anything else so malformed exposition
 // fails loudly.

@@ -173,14 +173,19 @@ func BenchmarkLatency(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures raw timing-simulator speed
-// (uops simulated per wall second are nsec/op's inverse).
+// BenchmarkSimulatorThroughput measures raw timing-simulator speed.
+// Each iteration simulates a fixed span, so the uops/s metric means the
+// same at any -benchtime, including the table suite's 1x.
 func BenchmarkSimulatorThroughput(b *testing.B) {
+	const span = 100_000
 	b.ReportAllocs()
 	sim := NewSimulation(SimConfig{Bench: "gzip", Estimator: NewCIC(0), Gating: PL(1)})
 	sim.Run(20_000)
 	b.ResetTimer()
-	sim.Run(uint64(b.N))
+	for i := 0; i < b.N; i++ {
+		sim.Run(span)
+	}
+	b.ReportMetric(float64(span*b.N)/b.Elapsed().Seconds(), "uops/s")
 }
 
 // BenchmarkAblateReversal regenerates the reversal-source ablation

@@ -66,8 +66,9 @@ func (c Class) Low() bool { return c != High }
 type Token struct {
 	// Output is the estimator's raw output. For perceptron estimators
 	// this is the dot product y; for counter estimators it is the
-	// counter value. Higher always means *less* confident here? No:
-	// the orientation is estimator-specific; use Class for decisions.
+	// counter value. Its orientation is estimator-specific (a high CIC
+	// output predicts a misprediction, a high JRS counter a correct
+	// prediction), so decisions use Band, never Output.
 	Output int
 	// Band is the confidence band assigned at estimate time.
 	Band Class

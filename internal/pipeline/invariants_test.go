@@ -47,53 +47,177 @@ func checkInvariants(t *testing.T, s *Sim) {
 		}
 		prev = e.seq
 	}
-	// Scheduler-list consistency: every dispatched-not-issued uop in
-	// the ROB has exactly one live waiting ref, every issued-not-done
-	// uop exactly one live pending ref, and live refs never point at
-	// anything else. Stale refs (seq mismatch) are allowed — squash
-	// invalidates lazily — but double-entry is not.
-	liveWaiting := make(map[int32]int)
-	for _, ref := range s.waiting {
-		if e := &s.pool[ref.idx]; e.seq == ref.seq {
-			if e.state != sDispatched {
-				t.Fatalf("live waiting ref to state %d (idx %d seq %d)", e.state, ref.idx, ref.seq)
-			}
-			liveWaiting[ref.idx]++
+	checkScheduler(t, s)
+}
+
+// checkScheduler asserts the wakeup scheduler's bookkeeping against
+// the ROB, in time linear in the ROB and uop pool:
+//
+//   - every dispatched uop is on exactly pendingSrc live producers'
+//     dependents lists, one link per waiting source slot, and each list
+//     is youngest-first (what squash relies on);
+//   - a dispatched uop is in its class's ready queue iff pendingSrc is
+//     zero, and each class's window occupancy counts exactly its
+//     dispatched uops;
+//   - the ready queues are strictly seq-sorted and hold only live
+//     dispatched entries;
+//   - every issued uop is in exactly one list: the bucket its doneAt
+//     maps to (completing within one wheel turn), or the far list
+//     (completing no earlier than the next wheel turn), and the lists
+//     walked hold nothing else. A stray entry in another bucket is
+//     caught when that bucket comes up next, before it completes.
+func checkScheduler(t *testing.T, s *Sim) {
+	t.Helper()
+	n := len(s.pool)
+	// Per pool slot: in the ROB, dependents-list links, ready-queue
+	// entries, completion-list entries.
+	type marks struct {
+		inROB                bool
+		links, ready, listed uint8
+	}
+	mk := make([]marks, n)
+	for i := 0; i < s.fetchQ.len(); i++ {
+		if e := &s.pool[s.fetchQ.at(i)]; e.deps != -1 || e.pendingSrc != 0 {
+			t.Fatalf("fetched uop seq %d has dependents %d, pendingSrc %d", e.seq, e.deps, e.pendingSrc)
 		}
 	}
-	livePending := make(map[int32]int)
-	for _, ref := range s.pending {
-		if e := &s.pool[ref.idx]; e.seq == ref.seq {
-			if e.state != sIssued {
-				t.Fatalf("live pending ref to state %d (idx %d seq %d)", e.state, ref.idx, ref.seq)
+	// Dependents lists, walking the ROB youngest-first so every
+	// consumer is already marked as in the ROB when its producer lists
+	// it.
+	var dispatched [3]int
+	for i := s.rob.len() - 1; i >= 0; i-- {
+		pi := s.rob.at(i)
+		p := &s.pool[pi]
+		mk[pi].inROB = true
+		if p.state == sDispatched {
+			dispatched[p.class]++
+		}
+		if p.state == sDone && p.deps != -1 {
+			t.Fatalf("completed uop seq %d still has dependents", p.seq)
+		}
+		var prevSeq uint64
+		prevSlot := int32(-1)
+		steps := 0
+		for l := p.deps; l >= 0; {
+			ci, slot := l>>1, l&1
+			c := &s.pool[ci]
+			if !mk[ci].inROB || c.state != sDispatched || c.seq <= p.seq {
+				t.Fatalf("producer seq %d lists a dependent at idx %d (seq %d, state %d, in ROB %v)",
+					p.seq, ci, c.seq, c.state, mk[ci].inROB)
 			}
-			livePending[ref.idx]++
+			if c.srcProd[slot] != pi {
+				t.Fatalf("dependent seq %d slot %d names producer %d, listed by %d", c.seq, slot, c.srcProd[slot], pi)
+			}
+			if prevSlot >= 0 && !(c.seq < prevSeq || (c.seq == prevSeq && prevSlot == 1 && slot == 0)) {
+				t.Fatalf("producer seq %d dependents not youngest-first: seq %d slot %d after seq %d slot %d",
+					p.seq, c.seq, slot, prevSeq, prevSlot)
+			}
+			prevSeq, prevSlot = c.seq, slot
+			mk[ci].links++
+			l = c.depNext[slot]
+			if steps++; steps > 2*n {
+				t.Fatalf("producer seq %d dependents list does not terminate", p.seq)
+			}
 		}
 	}
+	if dispatched != s.windowUsed {
+		t.Fatalf("window occupancy %v, dispatched uops per class %v", s.windowUsed, dispatched)
+	}
+	// Ready queues.
+	for cl := range s.readyQ {
+		q := &s.readyQ[cl]
+		if q.n < 0 || q.n > len(q.buf) {
+			t.Fatalf("ready queue %d length %d outside [0,%d]", cl, q.n, len(q.buf))
+		}
+		var prev uint64
+		for i := 0; i < q.n; i++ {
+			ref := *q.at(i)
+			e := &s.pool[ref.idx]
+			if !mk[ref.idx].inROB || e.seq != ref.seq || e.state != sDispatched || int(e.class) != cl || e.pendingSrc != 0 {
+				t.Fatalf("ready queue %d entry %d (idx %d seq %d) is not a ready dispatched uop of its class",
+					cl, i, ref.idx, ref.seq)
+			}
+			if i > 0 && ref.seq <= prev {
+				t.Fatalf("ready queue %d out of order at %d: %d after %d", cl, i, ref.seq, prev)
+			}
+			prev = ref.seq
+			mk[ref.idx].ready++
+		}
+	}
+	// Completion lists: the far list, the bucket complete() drains
+	// next (so a stray entry is caught before it completes), and the
+	// bucket each issued uop's doneAt maps to, each walked once.
+	nextTurn := (s.cycle + wheelMask) &^ wheelMask
+	var walked [wheelSize]bool
+	walk := func(bucket int) { // -1 is the far list
+		head := s.far
+		if bucket >= 0 {
+			if walked[bucket] {
+				return
+			}
+			walked[bucket] = true
+			head = s.wheel[bucket]
+		}
+		prev := int32(-1)
+		steps := 0
+		for idx := head; idx >= 0; idx = s.pool[idx].wheelNext {
+			e := &s.pool[idx]
+			ok := e.doneAt >= nextTurn
+			if bucket >= 0 {
+				ok = int(e.doneAt&wheelMask) == bucket && e.doneAt >= s.cycle && e.doneAt-s.cycle < wheelSize
+			}
+			if !mk[idx].inROB || e.state != sIssued || !ok {
+				t.Fatalf("completion list %d (-1 far) holds idx %d (seq %d, state %d, doneAt %d, cycle %d, in ROB %v)",
+					bucket, idx, e.seq, e.state, e.doneAt, s.cycle, mk[idx].inROB)
+			}
+			if e.wheelPrev != prev {
+				t.Fatalf("completion list %d (-1 far): idx %d back link %d, want %d", bucket, idx, e.wheelPrev, prev)
+			}
+			mk[idx].listed++
+			prev = idx
+			if steps++; steps > n {
+				t.Fatalf("completion list %d (-1 far) does not terminate", bucket)
+			}
+		}
+	}
+	walk(-1)
+	walk(int(s.cycle & wheelMask))
+	// Per-uop membership. An issued uop's own bucket is walked at the
+	// latest on its turn here.
 	for i := 0; i < s.rob.len(); i++ {
 		idx := s.rob.at(i)
 		e := &s.pool[idx]
-		switch e.state {
-		case sDispatched:
-			if liveWaiting[idx] != 1 {
-				t.Fatalf("dispatched uop seq %d has %d waiting refs, want 1", e.seq, liveWaiting[idx])
+		if e.state == sIssued && e.doneAt >= s.cycle && e.doneAt-s.cycle < wheelSize {
+			walk(int(e.doneAt & wheelMask))
+		}
+		waits := 0
+		for _, p := range e.srcProd {
+			if p >= 0 {
+				waits++
 			}
-		case sIssued:
-			if livePending[idx] != 1 {
-				t.Fatalf("issued uop seq %d has %d pending refs, want 1", e.seq, livePending[idx])
-			}
+		}
+		if waits != int(e.pendingSrc) || int(mk[idx].links) != waits {
+			t.Fatalf("uop seq %d (state %d): pendingSrc %d, %d waiting slots, on %d dependents lists",
+				e.seq, e.state, e.pendingSrc, waits, mk[idx].links)
+		}
+		if e.state != sDispatched && waits != 0 {
+			t.Fatalf("uop seq %d in state %d still waits on %d sources", e.seq, e.state, waits)
+		}
+		if want := b2i(e.state == sDispatched && e.pendingSrc == 0); int(mk[idx].ready) != want {
+			t.Fatalf("uop seq %d (state %d, pendingSrc %d) is in the ready queue %d times, want %d",
+				e.seq, e.state, e.pendingSrc, mk[idx].ready, want)
+		}
+		if want := b2i(e.state == sIssued); int(mk[idx].listed) != want {
+			t.Fatalf("uop seq %d (state %d) is on %d completion lists, want %d", e.seq, e.state, mk[idx].listed, want)
 		}
 	}
-	for idx, n := range liveWaiting {
-		if n > 1 {
-			t.Fatalf("pool slot %d has %d waiting refs", idx, n)
-		}
+}
+
+func b2i(v bool) int {
+	if v {
+		return 1
 	}
-	for idx, n := range livePending {
-		if n > 1 {
-			t.Fatalf("pool slot %d has %d pending refs", idx, n)
-		}
-	}
+	return 0
 }
 
 // randomMachine draws a valid machine shape with every width, depth
@@ -174,6 +298,36 @@ func TestInvariantsCombinedMechanisms(t *testing.T) {
 		}
 	}
 	checkInvariants(t, s)
+}
+
+// Zero-cycle L1 hits and thousand-cycle memory misses exercise both
+// ends of the completion wheel: results due the very next cycle, and
+// uops parked on the far list across several wheel turns.
+func TestInvariantsZeroLatencyAndFarMemory(t *testing.T) {
+	for _, bench := range []string{"gzip", "mcf"} {
+		s := New(Options{
+			Estimator: confidence.NewCIC(0),
+			Gating:    gating.PL(1),
+			Hierarchy: farHierarchy(),
+		}, gen(t, bench))
+		sawFar := false
+		for steps := 0; s.ctr.retired.Value() < 6000; steps++ {
+			s.step()
+			if steps%8 == 0 {
+				checkInvariants(t, s)
+			}
+			sawFar = sawFar || s.far >= 0
+			if steps > 5_000_000 {
+				t.Fatalf("%s: no forward progress", bench)
+			}
+		}
+		if hits, _ := s.Hierarchy().L1().Stats(); hits == 0 {
+			t.Errorf("%s: no zero-latency L1 hits", bench)
+		}
+		if !sawFar {
+			t.Errorf("%s: the far list was never used", bench)
+		}
+	}
 }
 
 // Two interleavings of Run() calls must be equivalent to one long run:

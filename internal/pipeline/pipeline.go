@@ -91,12 +91,9 @@ type renameEntry struct {
 	seq uint64
 }
 
-// schedRef names a pool entry at a point in time: the slot index plus
-// the seq it held when the reference was taken. Seqs are globally
-// unique and release zeroes the slot's seq, so a stale reference (the
-// uop was squashed, and the slot possibly reallocated) is detected by
-// a single comparison — squash never has to search the scheduler
-// lists.
+// schedRef names a pool entry together with its seq: the ready queues
+// and complete()'s due set keep the seq inline so ordering them never
+// touches the pool.
 type schedRef struct {
 	idx int32
 	seq uint64
@@ -110,13 +107,22 @@ type inflight struct {
 	wrongPath bool
 
 	dispatchAt uint64 // earliest dispatch cycle (fetch + frontend depth)
-	doneAt     uint64
+	doneAt     uint64 // completion cycle, set at issue
 
-	// Producer tracking, resolved at dispatch (rename). A slot is
-	// live while the referenced pool entry still holds the same seq
-	// and is not Done; anything else means the operand is ready.
-	src1Idx, src2Idx int32
-	src1Seq, src2Seq uint64
+	// Wakeup state, set at dispatch (rename). pendingSrc counts the
+	// source operands whose producer has not completed. For each such
+	// source slot i, srcProd[i] is the producer's pool index and
+	// depNext[i] links this uop into the producer's dependents list;
+	// srcProd[i] is -1 when the slot waits on nothing.
+	srcProd    [2]int32
+	depNext    [2]int32
+	pendingSrc uint8
+	// deps heads this uop's own dependents list, youngest consumer
+	// first. A link is consumerIdx<<1 | slot; -1 ends the list.
+	deps int32
+	// wheelPrev and wheelNext doubly link an issued uop into its
+	// completion bucket (or the far list); -1 ends either direction.
+	wheelPrev, wheelNext int32
 
 	// Conditional-branch state.
 	isBranch     bool
@@ -152,14 +158,19 @@ type Sim struct {
 	rename [trace.NumRegs]renameEntry
 	ckpt   [trace.NumRegs]renameEntry // rename snapshot at the diverge branch
 
-	// Scheduler fast-path lists: per-cycle work is proportional to the
-	// uops actually moving, not to the ROB size. waiting holds
-	// dispatched-not-issued refs in program order; pending holds
-	// issued-not-done refs in issue order; due is complete()'s scratch
-	// for the current cycle. Squashes invalidate refs lazily via seq.
-	waiting []schedRef
-	pending []schedRef
-	due     []schedRef
+	// Event-driven scheduler: per-cycle work is proportional to the
+	// uops that move, never to the window or ROB size. readyQ holds,
+	// per class, the dispatched uops whose sources are all done, in seq
+	// order; issue merges the three oldest-first. Completion wakes
+	// dependents through the intrusive lists in inflight. An issued uop
+	// waits in wheel[doneAt & wheelMask] when it completes less than
+	// wheelSize cycles after the current one, otherwise on the far list
+	// until a wheel turn brings it in range. due is complete()'s
+	// scratch for the current cycle.
+	readyQ [3]readyQueue
+	wheel  []int32
+	far    int32
+	due    []schedRef
 
 	windowUsed [3]int
 	windowCap  [3]int
@@ -252,13 +263,14 @@ func NewFromSource(opt Options, gen trace.Source, wrong workload.PathSource) *Si
 	}
 	s.fetchQ = newRing(fetchQCap)
 	s.rob = newRing(m.ROB)
-	// Steady-state bounds: waiting ≤ live window occupancy plus at most
-	// one squash's worth of stale refs (compacted away next issue);
-	// pending likewise relative to the ROB. Preallocate so the
-	// scheduler never grows a list mid-run.
-	windowSum := m.IntSched + m.MemSched + m.FPSched
-	s.waiting = make([]schedRef, 0, 2*windowSum+m.DispatchWidth)
-	s.pending = make([]schedRef, 0, 2*m.ROB)
+	// Every queue is bounded by what can be in flight, so the scheduler
+	// never grows a list mid-run.
+	s.readyQ = [3]readyQueue{newReadyQueue(m.IntSched), newReadyQueue(m.MemSched), newReadyQueue(m.FPSched)}
+	s.wheel = make([]int32, wheelSize)
+	for i := range s.wheel {
+		s.wheel[i] = -1
+	}
+	s.far = -1
 	s.due = make([]schedRef, 0, m.ROB)
 	s.windowCap = [3]int{m.IntSched, m.MemSched, m.FPSched}
 	s.unitCap = [3]int{m.IntUnits, m.MemUnits, m.FPUnits}
@@ -288,7 +300,7 @@ func classOf(k trace.Kind) uint8 {
 	}
 }
 
-func (s *Sim) latency(u trace.Uop) uint64 {
+func (s *Sim) latency(u *trace.Uop) uint64 {
 	switch u.Kind {
 	case trace.Store:
 		// Stores probe and fill the hierarchy (they bring lines in and
@@ -323,7 +335,7 @@ func (s *Sim) alloc() int32 {
 	}
 	idx := s.free[n-1]
 	s.free = s.free[:n-1]
-	s.pool[idx] = inflight{src1Idx: -1, src2Idx: -1}
+	s.pool[idx] = inflight{srcProd: [2]int32{-1, -1}, deps: -1}
 	return idx
 }
 

@@ -59,10 +59,134 @@ func (r *ring) truncate(keep int) { r.n = keep }
 
 func (r *ring) clear() { r.n = 0 }
 
+// readyQueue is one class's issue candidates: dispatched uops whose
+// source operands are all done, oldest (lowest seq) at the head. It is
+// a ring sized to the class's scheduling window, which bounds it.
+type readyQueue struct {
+	buf  []schedRef
+	mask int
+	head int
+	n    int
+}
+
+func newReadyQueue(window int) readyQueue {
+	size := 1
+	for size < window {
+		size <<= 1
+	}
+	return readyQueue{buf: make([]schedRef, size), mask: size - 1}
+}
+
+func (q *readyQueue) at(i int) *schedRef { return &q.buf[(q.head+i)&q.mask] }
+
+// insert places r in seq order. A dispatched uop is the youngest in
+// flight, so dispatch always appends; a wakeup may land anywhere.
+func (q *readyQueue) insert(r schedRef) {
+	if q.n == len(q.buf) {
+		panic("pipeline: ready queue overflow")
+	}
+	i := q.n
+	for ; i > 0; i-- {
+		p := q.at(i - 1)
+		if p.seq < r.seq {
+			break
+		}
+		*q.at(i) = *p
+	}
+	*q.at(i) = r
+	q.n++
+}
+
+func (q *readyQueue) pop() schedRef {
+	r := q.buf[q.head]
+	q.head = (q.head + 1) & q.mask
+	q.n--
+	return r
+}
+
+// truncateAfter drops every entry younger than seq.
+func (q *readyQueue) truncateAfter(seq uint64) {
+	for q.n > 0 && q.at(q.n-1).seq > seq {
+		q.n--
+	}
+}
+
+// wheelSize is the completion wheel's span in cycles, a power of two.
+// It covers every fixed latency and a DRAM miss on the Table 1
+// hierarchy; longer waits (bus queueing, slower memories) go to the far
+// list.
+const (
+	wheelSize = 512
+	wheelMask = wheelSize - 1
+)
+
+// schedule files an issued uop under its completion cycle doneAt: in
+// its wheel bucket when that is less than wheelSize cycles away, else
+// on the far list.
+func (s *Sim) schedule(idx int32, e *inflight) {
+	head := &s.far
+	if e.doneAt-s.cycle < wheelSize {
+		head = &s.wheel[e.doneAt&wheelMask]
+	}
+	e.wheelPrev, e.wheelNext = -1, *head
+	if *head >= 0 {
+		s.pool[*head].wheelPrev = idx
+	}
+	*head = idx
+}
+
+// unschedule removes an issued uop from its bucket or the far list.
+func (s *Sim) unschedule(idx int32, e *inflight) {
+	switch {
+	case e.wheelPrev >= 0:
+		s.pool[e.wheelPrev].wheelNext = e.wheelNext
+	case s.wheel[e.doneAt&wheelMask] == idx:
+		s.wheel[e.doneAt&wheelMask] = e.wheelNext
+	default:
+		s.far = e.wheelNext
+	}
+	if e.wheelNext >= 0 {
+		s.pool[e.wheelNext].wheelPrev = e.wheelPrev
+	}
+}
+
+// turnWheel runs when the wheel wraps (cycle is a multiple of
+// wheelSize) and moves the far uops completing within the coming turn
+// into their buckets, so every uop is in a bucket by its completion
+// cycle.
+func (s *Sim) turnWheel() {
+	for idx := s.far; idx >= 0; {
+		e := &s.pool[idx]
+		next := e.wheelNext
+		if e.doneAt-s.cycle < wheelSize {
+			s.unschedule(idx, e)
+			s.schedule(idx, e)
+		}
+		idx = next
+	}
+}
+
+// wake resolves a completed producer's dependents: each consumer's
+// pending-source count drops, and a consumer left with none joins its
+// class's ready queue.
+func (s *Sim) wake(p *inflight) {
+	for l := p.deps; l >= 0; {
+		ci, slot := l>>1, l&1
+		c := &s.pool[ci]
+		l = c.depNext[slot]
+		c.srcProd[slot] = -1
+		c.pendingSrc--
+		if c.pendingSrc == 0 {
+			s.readyQ[c.class].insert(schedRef{idx: ci, seq: c.seq})
+		}
+	}
+	p.deps = -1
+}
+
 // retire drains completed uops in program order, training the
 // confidence estimator and accumulating branch statistics.
 func (s *Sim) retire() {
-	m := s.opt.Machine
+	m := &s.opt.Machine
 	for retired := 0; retired < m.RetireWidth && s.rob.len() > 0; retired++ {
 		idx := s.rob.at(0)
 		e := &s.pool[idx]
@@ -107,36 +231,30 @@ func (s *Sim) retire() {
 	}
 }
 
-// complete marks issued uops whose latency elapsed as done, resolves
-// branches for the gating counter and triggers misprediction recovery.
+// complete marks the uops whose latency elapses this cycle as done,
+// wakes their dependents, resolves branches for the gating counter and
+// triggers misprediction recovery.
 //
-// Instead of walking the whole ROB it walks the pending list — only
-// the uops actually in flight in an execution unit. Squashed entries
-// are dropped lazily by the seq check (squash never edits the list),
-// and the due set is processed in seq order, which is exactly the
-// program order the full ROB scan used, so event order and recovery
-// timing are unchanged.
+// The cycle's completions are exactly one wheel bucket. They are
+// processed in seq order, the program order a full ROB scan would
+// visit, so event order and recovery timing do not depend on the
+// order the uops issued in.
 func (s *Sim) complete() {
-	pending := s.pending
-	due := s.due[:0]
-	keep := 0
-	for _, ref := range pending {
-		e := &s.pool[ref.idx]
-		if e.seq != ref.seq || e.state != sIssued {
-			continue // squashed (slot freed or reallocated) — drop
-		}
-		if e.doneAt > s.cycle {
-			pending[keep] = ref
-			keep++
-			continue
-		}
-		due = append(due, ref)
+	if s.cycle&wheelMask == 0 && s.far >= 0 {
+		s.turnWheel()
 	}
-	s.pending = pending[:keep]
-	// The pending list is in issue order, not program order; restore
-	// seq order with an insertion sort (the due set is tiny — bounded
-	// by the execution units draining in one cycle — and nearly sorted
-	// already, and sort.Slice would allocate).
+	b := &s.wheel[s.cycle&wheelMask]
+	if *b < 0 {
+		return
+	}
+	due := s.due[:0]
+	for idx := *b; idx >= 0; idx = s.pool[idx].wheelNext {
+		due = append(due, schedRef{idx: idx, seq: s.pool[idx].seq})
+	}
+	*b = -1
+	// The bucket is in reverse issue order; restore seq order with an
+	// insertion sort (the set is tiny, bounded by the execution units
+	// draining in one cycle, and sort.Slice would allocate).
 	for i := 1; i < len(due); i++ {
 		for j := i; j > 0 && due[j-1].seq > due[j].seq; j-- {
 			due[j-1], due[j] = due[j], due[j-1]
@@ -150,6 +268,7 @@ func (s *Sim) complete() {
 		if s.sink != nil {
 			s.sink.Emit(telemetry.Event{Kind: telemetry.EvComplete, Cycle: s.cycle, Seq: e.seq, PC: e.u.PC, WrongPath: e.wrongPath})
 		}
+		s.wake(e)
 		if e.isBranch {
 			if e.gated {
 				s.gate.OnResolve(e.seq)
@@ -184,6 +303,9 @@ func (s *Sim) recover() {
 		keep--
 	}
 	s.rob.truncate(keep)
+	for cl := range s.readyQ {
+		s.readyQ[cl].truncateAfter(s.divergeSeq)
+	}
 	// Everything still in the fetch queue is younger too.
 	for i := 0; i < s.fetchQ.len(); i++ {
 		idx := s.fetchQ.at(i)
@@ -209,10 +331,27 @@ func (s *Sim) recover() {
 }
 
 // squashEntry releases an entry's resources and returns it to the
-// pool. The caller removes it from whatever queue held it.
+// pool. The caller removes it from the ROB or fetch queue, and recover
+// truncates the ready queues.
+//
+// A waiting uop is popped off its producers' dependents lists. Those
+// lists are youngest-first and recover squashes youngest-first, so the
+// uop is at each list's head (slot 1 was linked last, so it comes off
+// first).
 func (s *Sim) squashEntry(e *inflight, idx int32) {
-	if e.state == sDispatched {
+	switch e.state {
+	case sDispatched:
 		s.windowUsed[e.class]--
+		for slot := 1; slot >= 0; slot-- {
+			if p := e.srcProd[slot]; p >= 0 {
+				if s.pool[p].deps != idx<<1|int32(slot) {
+					panic(fmt.Sprintf("pipeline: squashed uop %d is not its producer's youngest dependent", e.seq))
+				}
+				s.pool[p].deps = e.depNext[slot]
+			}
+		}
+	case sIssued:
+		s.unschedule(idx, e)
 	}
 	if e.state != sFetched {
 		switch e.u.Kind {
@@ -228,74 +367,47 @@ func (s *Sim) squashEntry(e *inflight, idx int32) {
 	s.release(idx)
 }
 
-// ready reports whether an entry's operands are available: a producer
-// slot is outstanding only while the referenced pool entry still holds
-// the same seq and has not completed.
-func (s *Sim) ready(e *inflight) bool {
-	if e.src1Idx >= 0 {
-		p := &s.pool[e.src1Idx]
-		if p.seq == e.src1Seq && p.state != sDone {
-			return false
-		}
-		e.src1Idx = -1
-	}
-	if e.src2Idx >= 0 {
-		p := &s.pool[e.src2Idx]
-		if p.seq == e.src2Seq && p.state != sDone {
-			return false
-		}
-		e.src2Idx = -1
-	}
-	return true
-}
-
 // issue selects ready uops oldest-first, subject to the global issue
-// width and per-class execution-unit limits.
-//
-// The candidates live in the waiting list — only dispatched-not-issued
-// uops, appended in dispatch order, which is program order, so
-// oldest-first selection is a front-to-back walk rather than a full
-// ROB scan. The walk compacts the list in place: issued uops move to
-// the pending list and squashed ones (seq mismatch) drop out.
+// width and per-class execution-unit limits: a three-way merge of the
+// class ready queues by seq that skips a class once its units are used
+// up. That is the order a program-order walk of every waiting uop
+// would issue in, so the data-cache accesses of latency() and every
+// telemetry event keep that order.
 func (s *Sim) issue() {
-	m := s.opt.Machine
-	issued := 0
 	var unitUsed [3]int
-	w := s.waiting
-	keep := 0
-	for _, ref := range w {
-		e := &s.pool[ref.idx]
-		if e.seq != ref.seq || e.state != sDispatched {
-			continue // squashed — drop
+	for issued := 0; issued < s.opt.Machine.IssueWidth; issued++ {
+		cl := -1
+		var oldest uint64
+		for c := range s.readyQ {
+			q := &s.readyQ[c]
+			if q.n == 0 || unitUsed[c] >= s.unitCap[c] {
+				continue
+			}
+			if seq := q.at(0).seq; cl < 0 || seq < oldest {
+				cl, oldest = c, seq
+			}
 		}
-		if issued >= m.IssueWidth {
-			w[keep] = ref
-			keep++
-			continue
+		if cl < 0 {
+			return
 		}
-		cl := e.class
-		if unitUsed[cl] >= s.unitCap[cl] || !s.ready(e) {
-			w[keep] = ref
-			keep++
-			continue
-		}
+		idx := s.readyQ[cl].pop().idx
+		e := &s.pool[idx]
 		e.state = sIssued
-		e.doneAt = s.cycle + s.latency(e.u)
+		// A zero-latency result is still only visible next cycle.
+		e.doneAt = s.cycle + max(s.latency(&e.u), 1)
 		s.windowUsed[cl]--
 		unitUsed[cl]++
-		issued++
-		s.pending = append(s.pending, ref)
+		s.schedule(idx, e)
 		if s.sink != nil {
 			s.sink.Emit(telemetry.Event{Kind: telemetry.EvIssue, Cycle: s.cycle, Seq: e.seq, PC: e.u.PC, WrongPath: e.wrongPath})
 		}
 	}
-	s.waiting = w[:keep]
 }
 
 // dispatch renames and inserts fetched uops into the ROB and
 // scheduling windows, in order, as resources allow.
 func (s *Sim) dispatch() {
-	m := s.opt.Machine
+	m := &s.opt.Machine
 	for n := 0; n < m.DispatchWidth && s.fetchQ.len() > 0; n++ {
 		idx := s.fetchQ.at(0)
 		e := &s.pool[idx]
@@ -332,7 +444,8 @@ func (s *Sim) dispatch() {
 		if s.sink != nil {
 			s.sink.Emit(telemetry.Event{Kind: telemetry.EvDispatch, Cycle: s.cycle, Seq: e.seq, PC: e.u.PC, WrongPath: e.wrongPath})
 		}
-		s.renameSources(e)
+		s.linkSource(idx, e, 0, e.u.Src1)
+		s.linkSource(idx, e, 1, e.u.Src2)
 		if e.u.Dst != trace.NoReg {
 			s.rename[e.u.Dst] = renameEntry{idx: idx, seq: e.seq}
 		}
@@ -340,26 +453,31 @@ func (s *Sim) dispatch() {
 			s.ckpt = s.rename
 		}
 		e.state = sDispatched
-		s.waiting = append(s.waiting, schedRef{idx: idx, seq: e.seq})
+		if e.pendingSrc == 0 {
+			s.readyQ[cl].insert(schedRef{idx: idx, seq: e.seq})
+		}
 	}
 }
 
-func (s *Sim) renameSources(e *inflight) {
-	e.src1Idx, e.src2Idx = -1, -1
-	if r := e.u.Src1; r != trace.NoReg {
-		if re := s.rename[r]; re.idx >= 0 {
-			if p := &s.pool[re.idx]; p.seq == re.seq && p.state != sDone {
-				e.src1Idx, e.src1Seq = re.idx, re.seq
-			}
-		}
+// linkSource renames source slot of the uop at idx, which reads
+// register r: if r's producer has not completed, the uop joins the
+// head of the producer's dependents list and waits for its wakeup.
+func (s *Sim) linkSource(idx int32, e *inflight, slot int32, r uint8) {
+	if r == trace.NoReg {
+		return
 	}
-	if r := e.u.Src2; r != trace.NoReg {
-		if re := s.rename[r]; re.idx >= 0 {
-			if p := &s.pool[re.idx]; p.seq == re.seq && p.state != sDone {
-				e.src2Idx, e.src2Seq = re.idx, re.seq
-			}
-		}
+	re := s.rename[r]
+	if re.idx < 0 {
+		return
 	}
+	p := &s.pool[re.idx]
+	if p.seq != re.seq || p.state == sDone {
+		return
+	}
+	e.srcProd[slot] = re.idx
+	e.depNext[slot] = p.deps
+	p.deps = idx<<1 | slot
+	e.pendingSrc++
 }
 
 // fetch pulls uops from the active path (correct or wrong), predicting
@@ -372,7 +490,7 @@ func (s *Sim) fetch() {
 	if s.gate.Stalled(s.cycle) {
 		return
 	}
-	m := s.opt.Machine
+	m := &s.opt.Machine
 	brBudget := m.BranchPerCycle
 	for budget := m.FetchWidth; budget > 0; budget-- {
 		if s.fetchQ.full() {

@@ -139,7 +139,7 @@ func benchmarkRun(b *testing.B, sink telemetry.Sink) {
 
 // TestRunNilSinkAllocFree pins the scheduler + telemetry fast path:
 // once warmed up, a nil-sink simulation allocates nothing per cycle —
-// no events are constructed, the scheduler lists never grow, and the
+// no events are constructed, the scheduler queues are preallocated, and the
 // perceptron tables are fully materialized.
 func TestRunNilSinkAllocFree(t *testing.T) {
 	prof, err := workload.ByName("gzip")

@@ -29,7 +29,8 @@ type HeadState struct {
 	// completion cycle (0 until issued). A DoneAt far in the future
 	// points at a latency-modeling fault.
 	DispatchAt, DoneAt uint64
-	// WaitingOn counts unresolved source operands.
+	// WaitingOn counts the source operands whose producer has not
+	// completed.
 	WaitingOn int
 }
 
@@ -43,16 +44,16 @@ type WatchdogError struct {
 	// Cycle is the abort cycle; LastRetire the last cycle a uop
 	// retired; Interval the configured patience.
 	Cycle, LastRetire, Interval uint64
-	// ROB, FetchQ, Waiting and Pending are the occupancy of the
-	// reorder buffer, the fetch queue and the scheduler's
-	// waiting/pending lists (list lengths include lazily-invalidated
-	// squashed refs). FreeSlots is the uop pool's free-list size.
-	ROB, FetchQ, Waiting, Pending, FreeSlots int
+	// ROB and FetchQ are the occupancy of the reorder buffer and the
+	// fetch queue. Ready counts the dispatched uops whose operands are
+	// all done (the ready queues), Executing the issued uops not yet
+	// complete. FreeSlots is the uop pool's free-list size.
+	ROB, FetchQ, Ready, Executing, FreeSlots int
 	// Head describes the ROB head uop (nil when the ROB is empty — a
 	// front-end livelock rather than a scheduling one).
 	Head *HeadState
 	// LastSquashSeq is the seq of the most recent diverging branch,
-	// the prime suspect after a lazy-squash-invalidation bug.
+	// the prime suspect after a squash-recovery bug.
 	LastSquashSeq uint64
 	// GateStalled reports whether pipeline gating was holding fetch;
 	// StallUntil is the current fetch-stall deadline (trace-cache miss
@@ -70,30 +71,13 @@ func (e *WatchdogError) Error() string {
 			e.Head.WaitingOn, e.Head.DispatchAt, e.Head.DoneAt, e.Head.WrongPath)
 	}
 	return fmt.Sprintf("pipeline: watchdog: no retirement for %d cycles at cycle %d (last retire %d): "+
-		"rob=%d fetchq=%d waiting=%d pending=%d free=%d lastSquashSeq=%d gateStalled=%v stallUntil=%d; %s",
+		"rob=%d fetchq=%d ready=%d executing=%d free=%d lastSquashSeq=%d gateStalled=%v stallUntil=%d; %s",
 		e.Interval, e.Cycle, e.LastRetire,
-		e.ROB, e.FetchQ, e.Waiting, e.Pending, e.FreeSlots,
+		e.ROB, e.FetchQ, e.Ready, e.Executing, e.FreeSlots,
 		e.LastSquashSeq, e.GateStalled, e.StallUntil, head)
 }
 
 var stateNames = [...]string{sFetched: "fetched", sDispatched: "dispatched", sIssued: "issued", sDone: "done"}
-
-// waitingOn counts an entry's unresolved source operands without
-// mutating the entry (unlike ready, which clears resolved slots).
-func (s *Sim) waitingOn(e *inflight) int {
-	n := 0
-	if e.src1Idx >= 0 {
-		if p := &s.pool[e.src1Idx]; p.seq == e.src1Seq && p.state != sDone {
-			n++
-		}
-	}
-	if e.src2Idx >= 0 {
-		if p := &s.pool[e.src2Idx]; p.seq == e.src2Seq && p.state != sDone {
-			n++
-		}
-	}
-	return n
-}
 
 // watchdogError assembles the structured no-forward-progress
 // diagnostic from the simulator's current state.
@@ -104,12 +88,18 @@ func (s *Sim) watchdogError(interval uint64) *WatchdogError {
 		Interval:      interval,
 		ROB:           s.rob.len(),
 		FetchQ:        s.fetchQ.len(),
-		Waiting:       len(s.waiting),
-		Pending:       len(s.pending),
 		FreeSlots:     len(s.free),
 		LastSquashSeq: s.divergeSeq,
 		GateStalled:   s.gate.Stalled(s.cycle),
 		StallUntil:    s.stallUntil,
+	}
+	for cl := range s.readyQ {
+		e.Ready += s.readyQ[cl].n
+	}
+	for i := 0; i < s.rob.len(); i++ {
+		if s.pool[s.rob.at(i)].state == sIssued {
+			e.Executing++
+		}
 	}
 	if s.rob.len() > 0 {
 		h := &s.pool[s.rob.at(0)]
@@ -121,7 +111,7 @@ func (s *Sim) watchdogError(interval uint64) *WatchdogError {
 			WrongPath:  h.wrongPath,
 			DispatchAt: h.dispatchAt,
 			DoneAt:     h.doneAt,
-			WaitingOn:  s.waitingOn(h),
+			WaitingOn:  int(h.pendingSrc),
 		}
 	}
 	return e

@@ -67,6 +67,12 @@ func TestWatchdogTripsOnHang(t *testing.T) {
 	if wde.ROB == 0 {
 		t.Error("ROB occupancy 0 in a back-end livelock")
 	}
+	if wde.Head.State == "issued" && wde.Executing == 0 {
+		t.Error("head is issued but no uop is counted as executing")
+	}
+	if wde.Ready+wde.Executing > wde.ROB {
+		t.Errorf("ready %d + executing %d exceed ROB occupancy %d", wde.Ready, wde.Executing, wde.ROB)
+	}
 	if s.ctr.watchdogAborts.Value() != 1 {
 		t.Errorf("watchdog_aborts = %d, want 1", s.ctr.watchdogAborts.Value())
 	}
@@ -74,7 +80,7 @@ func TestWatchdogTripsOnHang(t *testing.T) {
 		t.Errorf("EvWatchdog count = %d, want 1", sink.Count(telemetry.EvWatchdog))
 	}
 	msg := wde.Error()
-	for _, want := range []string{"watchdog", "no retirement", "rob=", "head seq"} {
+	for _, want := range []string{"watchdog", "no retirement", "rob=", "ready=", "executing=", "head seq"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("Error() = %q missing %q", msg, want)
 		}

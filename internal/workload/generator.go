@@ -79,7 +79,7 @@ type Generator struct {
 	phase  bool
 	cur    int
 	pos    int
-	stack  []int
+	stack  callStack
 	pcIdx  map[uint64]int // block start PC -> index (wrong-path entry)
 
 	prevBlock int
@@ -270,7 +270,7 @@ func (g *Generator) resetWalk() {
 	g.phase = false
 	g.cur, g.pos = 0, 0
 	g.prevBlock = 0
-	g.stack = g.stack[:0]
+	g.stack.n = 0
 	g.branches, g.uops = 0, 0
 }
 
@@ -603,12 +603,11 @@ func (g *Generator) Next() (trace.Uop, bool) {
 			g.cur = b.fallTo
 		}
 	case trace.Call:
-		g.stack = append(g.stack, b.fallTo)
+		g.stack.push(int32(b.fallTo))
 		g.cur = b.takenTo
 	case trace.Ret:
-		if n := len(g.stack); n > 0 {
-			g.cur = g.stack[n-1]
-			g.stack = g.stack[:n-1]
+		if ret, ok := g.stack.pop(); ok {
+			g.cur = int(ret)
 			u.Target = g.blocks[g.cur].pc
 		} else {
 			g.cur = b.takenTo
@@ -618,6 +617,35 @@ func (g *Generator) Next() (trace.Uop, bool) {
 	}
 	g.uops++
 	return u, true
+}
+
+// callStack is the generator's return-address stack of block indices.
+// The synthetic programs make more calls than returns, so on most
+// benchmarks it grows for the whole run (tens of thousands of entries
+// per million uops). It is stored in fixed-size chunks so that growth
+// never copies the stack or leaves the old copy as garbage.
+type callStack struct {
+	chunks [][]int32
+	n      int
+}
+
+const callStackChunk = 4096
+
+func (c *callStack) push(v int32) {
+	i := c.n / callStackChunk
+	if i == len(c.chunks) {
+		c.chunks = append(c.chunks, make([]int32, callStackChunk))
+	}
+	c.chunks[i][c.n%callStackChunk] = v
+	c.n++
+}
+
+func (c *callStack) pop() (int32, bool) {
+	if c.n == 0 {
+		return 0, false
+	}
+	c.n--
+	return c.chunks[c.n/callStackChunk][c.n%callStackChunk], true
 }
 
 func boolBit(b bool) uint64 {

@@ -385,3 +385,44 @@ func BenchmarkGenerator(b *testing.B) {
 		g.Next()
 	}
 }
+
+// The chunked call stack must behave exactly like a plain slice stack
+// across chunk boundaries, including after a reset.
+func TestCallStackMatchesSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var cs callStack
+	var ref []int32
+	deepest := 0
+	for step := 0; step < 6*callStackChunk; step++ {
+		deepest = max(deepest, cs.n)
+		if step == 3*callStackChunk {
+			cs.n, ref = 0, ref[:0]
+		}
+		// Biased towards pushes, like the synthetic programs, so the
+		// stack spans several chunks.
+		if rng.Intn(8) < 7 {
+			v := rng.Int31()
+			cs.push(v)
+			ref = append(ref, v)
+			continue
+		}
+		got, ok := cs.pop()
+		if len(ref) == 0 {
+			if ok {
+				t.Fatalf("step %d: pop of an empty stack returned %d", step, got)
+			}
+			continue
+		}
+		want := ref[len(ref)-1]
+		ref = ref[:len(ref)-1]
+		if !ok || got != want {
+			t.Fatalf("step %d: pop = %d, %v; want %d", step, got, ok, want)
+		}
+	}
+	if cs.n != len(ref) {
+		t.Fatalf("depth %d, want %d", cs.n, len(ref))
+	}
+	if deepest < 2*callStackChunk {
+		t.Fatalf("stack reached depth %d; the test never crossed two chunk boundaries", deepest)
+	}
+}

@@ -249,6 +249,11 @@ func (s *Sim) complete() {
 	}
 	due := s.due[:0]
 	for idx := *b; idx >= 0; idx = s.pool[idx].wheelNext {
+		if len(due) == cap(due) {
+			// More uops than the ROB holds: the list is corrupt (a
+			// cycle would otherwise grow due without bound).
+			panic("pipeline: completion bucket holds more uops than the ROB")
+		}
 		due = append(due, schedRef{idx: idx, seq: s.pool[idx].seq})
 	}
 	*b = -1

@@ -113,12 +113,19 @@ func (l *liveCounters) jobEnd(err error, cached bool) {
 
 // LiveSnapshot returns the current execution counters. It is safe to
 // call from any goroutine (the debug endpoint samples it per request).
+// A job bumps jobsStarted before it can bump jobsDone or jobsFailed,
+// and jobsDone before jobsCached, so the counters are loaded in the
+// reverse order: a snapshot never shows more jobs finished than
+// started, or more cached than done.
 func LiveSnapshot() LiveStats {
+	cached := live.jobsCached.Load()
+	done := live.jobsDone.Load()
+	failed := live.jobsFailed.Load()
 	return LiveStats{
 		JobsStarted:      live.jobsStarted.Load(),
-		JobsDone:         live.jobsDone.Load(),
-		JobsFailed:       live.jobsFailed.Load(),
-		JobsCached:       live.jobsCached.Load(),
+		JobsDone:         done,
+		JobsFailed:       failed,
+		JobsCached:       cached,
 		JobsRetried:      live.jobsRetried.Load(),
 		StoreQuarantined: live.storeQuarantined.Load(),
 		BusyWorkers:      live.busyWorkers.Load(),

@@ -175,11 +175,11 @@ func BenchmarkProfile(name string) (Profile, error) { return workload.ByName(nam
 // NewGenerator builds the named benchmark's trace generator. It
 // panics on unknown names (use BenchmarkProfile to check first).
 func NewGenerator(name string) *Generator {
-	p, err := workload.ByName(name)
+	g, err := workload.Load(name, 0)
 	if err != nil {
 		panic(err)
 	}
-	return workload.New(p)
+	return g
 }
 
 // SimConfig configures a timing simulation.
@@ -214,7 +214,7 @@ type Simulation struct {
 // NewSimulation builds a simulation. It panics on unknown benchmarks
 // or invalid machine configurations.
 func NewSimulation(cfg SimConfig) *Simulation {
-	prof, err := workload.ByName(cfg.Bench)
+	gen, err := workload.Load(cfg.Bench, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -226,7 +226,7 @@ func NewSimulation(cfg SimConfig) *Simulation {
 		Reversal:  cfg.Reversal,
 		Perfect:   cfg.Perfect,
 		Sink:      cfg.Sink,
-	}, workload.New(prof))}
+	}, gen)}
 }
 
 // Run advances the simulation until n more uops retire and returns

@@ -220,11 +220,10 @@ func run(ctx context.Context, bench string, uops, workers int, cacheDir string, 
 }
 
 func mispRate(name string, uops int) (float64, error) {
-	wl, err := workload.ByName(name)
+	g, err := workload.Load(name, 0)
 	if err != nil {
 		return 0, err
 	}
-	g := workload.New(wl)
 	pred := predictor.NewBaselineHybrid()
 	const warm = 100_000
 	var measured, misp int
@@ -246,11 +245,10 @@ func mispRate(name string, uops int) (float64, error) {
 }
 
 func attribute(name string, uops int) error {
-	wl, err := workload.ByName(name)
+	g, err := workload.Load(name, 0)
 	if err != nil {
 		return err
 	}
-	g := workload.New(wl)
 	kinds := g.BranchKinds()
 	pred := predictor.NewBaselineHybrid()
 	type agg struct{ n, miss int }

@@ -313,7 +313,7 @@ func simBench(bench string, cfg simConfig) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	prof, err := workload.ByName(bench)
+	gen, err := workload.Load(bench, 0)
 	if err != nil {
 		return "", err
 	}
@@ -322,7 +322,7 @@ func simBench(bench string, cfg simConfig) (string, error) {
 		return "", err
 	}
 	opt.Sink = sinks.sink
-	sim := pipeline.New(opt, workload.New(prof))
+	sim := pipeline.New(opt, gen)
 	out, err := report(sim, bench, cfg, useReversal)
 	if err != nil {
 		return "", err

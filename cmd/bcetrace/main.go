@@ -128,7 +128,7 @@ func cmdGen(ctx context.Context, args []string) error {
 	if *out == "" {
 		return fmt.Errorf("gen: -o is required")
 	}
-	wl, err := workload.ByName(*bench)
+	gen, err := workload.Load(*bench, 0)
 	if err != nil {
 		return err
 	}
@@ -138,7 +138,6 @@ func cmdGen(ctx context.Context, args []string) error {
 	}
 	defer f.Close()
 	w := trace.NewWriter(f)
-	gen := workload.New(wl)
 	for i := uint64(0); i < *n; i++ {
 		if i%65536 == 0 && ctx.Err() != nil {
 			f.Close()

@@ -165,11 +165,10 @@ func functionalKey(cfg FunctionalConfig, segs int) string {
 }
 
 func runFunctionalSegment(cfg FunctionalConfig, segment int) (FunctionalResult, error) {
-	prof, err := workload.ByName(cfg.Bench)
+	gen, err := workload.Load(cfg.Bench, segment)
 	if err != nil {
 		return FunctionalResult{}, err
 	}
-	prof.Segment = segment
 	pred := cfg.Predictor
 	if cfg.MakePredictor != nil {
 		pred = cfg.MakePredictor()
@@ -184,7 +183,6 @@ func runFunctionalSegment(cfg FunctionalConfig, segment int) (FunctionalResult, 
 	if est == nil {
 		est = confidence.AlwaysHigh{}
 	}
-	gen := workload.New(prof)
 
 	var res FunctionalResult
 	if cfg.HistRange > 0 {

@@ -166,14 +166,12 @@ func runTimingSpecTrain(ctx context.Context, spec TimingSpec, sz Sizes, speculat
 // randomness — and the counters are merged (the paper's
 // two-segments-per-benchmark methodology, §4).
 func runTimingUncached(spec TimingSpec, mkEst func() confidence.Estimator, sz Sizes, speculativeTrain bool) (metrics.Run, error) {
-	prof, err := workload.ByName(spec.Bench)
-	if err != nil {
-		return metrics.Run{}, err
-	}
 	var merged metrics.Run
 	for seg := 0; seg < sz.segments(); seg++ {
-		p := prof
-		p.Segment = seg
+		gen, err := workload.Load(spec.Bench, seg)
+		if err != nil {
+			return metrics.Run{}, err
+		}
 		opt := pipeline.Options{
 			Machine:  spec.Machine,
 			Perfect:  spec.Perfect,
@@ -187,7 +185,7 @@ func runTimingUncached(spec TimingSpec, mkEst func() confidence.Estimator, sz Si
 		}
 		opt.Gating = spec.Gating
 		opt.SpeculativeCETrain = speculativeTrain
-		sim := pipeline.New(opt, workload.New(p))
+		sim := pipeline.New(opt, gen)
 		sim.Run(sz.Warmup)
 		merged.Merge(sim.Run(sz.Measure))
 	}

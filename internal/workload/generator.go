@@ -5,12 +5,15 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"bce/internal/trace"
 )
 
-// Profile describes one synthetic benchmark. Construct a Generator
-// from it with New.
+// Profile describes one synthetic benchmark. Build its Program with
+// Build and walk it with Program.Walk, or do both at once with New;
+// Load does the same for a compiled-in benchmark and builds its
+// Program only once per process.
 type Profile struct {
 	// Name is the benchmark name (gzip, vpr, …).
 	Name string
@@ -46,18 +49,26 @@ type Profile struct {
 	// 1/PhaseLen at each branch. Default 200.
 	PhaseLen int
 	// Segment selects an independent runtime-randomness stream over
-	// the *same* static program (CFG, behaviors and calibration are
-	// untouched). The paper evaluates two trace segments per benchmark
-	// (§4); experiments average across segments the same way.
+	// the *same* static program: Build never reads it, so the CFG,
+	// behaviors and calibration are identical for every segment, and
+	// only the walker's randomness (New, Program.Walk) depends on it.
+	// The paper evaluates two trace segments per benchmark (§4);
+	// experiments average across segments the same way.
 	Segment int
+}
+
+// op is a static body uop. Its PC is the block's PC plus 4 per
+// position, and a memory op's address is drawn per instance.
+type op struct {
+	Kind            trace.Kind
+	Dst, Src1, Src2 uint8
 }
 
 type block struct {
 	pc      uint64
-	body    []trace.Uop // static body uops (addresses filled per-instance)
-	term    trace.Uop   // static terminal; Taken/Target resolved dynamically
-	behave  Behavior    // nil for unconditional terminals
-	bi      int         // behavior state index
+	body    []op
+	term    trace.Uop // static terminal; Taken/Target resolved dynamically
+	behave  Behavior  // nil for unconditional terminals
 	takenTo int
 	fallTo  int
 	// orient is the structural taken-bias of a forward conditional
@@ -67,22 +78,32 @@ type block struct {
 	orient int8
 }
 
-// Generator emits the benchmark's correct-path uop stream. It
-// implements trace.Source and never ends.
-type Generator struct {
-	prof   Profile
-	blocks []block
-	states []BranchState
-	rng    *rand.Rand
-	mem    *memGen
-	ghist  uint64
-	phase  bool
-	cur    int
-	pos    int
-	stack  callStack
-	pcIdx  map[uint64]int // block start PC -> index (wrong-path entry)
+// Program is a benchmark's static program: the CFG of basic blocks,
+// their uops and each conditional branch's behavior. It is immutable
+// once built, so any number of walkers, on any goroutines, may share
+// it.
+type Program struct {
+	prof   Profile // Segment is always zero
+	blocks []block // in ascending PC order
+}
 
-	prevBlock int
+// Generator walks a Program and emits the benchmark's correct-path uop
+// stream for one runtime segment. It owns all the dynamic state: the
+// per-branch behavior state, the runtime randomness, the data-address
+// streams, the cursor, the return-address stack and the global
+// history. It implements trace.Source and never ends.
+type Generator struct {
+	prog    *Program
+	blocks  []block // prog.blocks
+	segment int
+	states  []BranchState
+	rng     *rand.Rand
+	mem     *memGen
+	ghist   uint64
+	phase   bool
+	cur     int
+	pos     int
+	stack   callStack
 
 	branches uint64
 	uops     uint64
@@ -91,9 +112,9 @@ type Generator struct {
 const codeBase = 0x0040_0000
 
 // runtimeSeed derives the dynamic-randomness seed from the profile's
-// seed and segment; construction randomness never depends on it.
-func runtimeSeed(p Profile) int64 {
-	return (p.Seed ^ 0x5E3779B97F4A7C15) + int64(p.Segment)*0x6A09E667
+// seed and the segment; construction randomness never depends on it.
+func runtimeSeed(seed int64, segment int) int64 {
+	return (seed ^ 0x5E3779B97F4A7C15) + int64(segment)*0x6A09E667
 }
 
 // condTail is the number of trailing blocks whose terminals are forced
@@ -102,10 +123,61 @@ func runtimeSeed(p Profile) int64 {
 // branches (no unconditional-only cycles).
 const condTail = 18
 
-// New constructs the benchmark generator for a profile. It panics on
-// structurally invalid profiles (no blocks, no mix): profiles are
-// compiled into the binary, so these are programming errors.
-func New(p Profile) *Generator {
+// New builds the program for a profile and returns a walker over it
+// for p.Segment. It panics on structurally invalid profiles (see
+// Build).
+func New(p Profile) *Generator { return Build(p).Walk(p.Segment) }
+
+// programs memoizes Build for the compiled-in profiles, by name.
+var programs = func() map[string]*builtin {
+	m := make(map[string]*builtin)
+	for _, name := range Names() {
+		m[name] = &builtin{}
+	}
+	return m
+}()
+
+type builtin struct {
+	once sync.Once
+	prog *Program
+}
+
+// Load returns a fresh walker over the named compiled-in benchmark for
+// the given segment. The benchmark's Program is built on first use
+// and shared by every later Load in the process; concurrent first
+// calls build it once. The stream equals New's for that profile and
+// segment. A caller that modifies a profile must use New.
+func Load(name string, segment int) (*Generator, error) {
+	b, ok := programs[name]
+	if !ok {
+		_, err := ByName(name)
+		return nil, err
+	}
+	b.once.Do(func() {
+		p, _ := ByName(name)
+		b.prog = Build(p)
+	})
+	return b.prog.Walk(segment), nil
+}
+
+// Walk returns a fresh walker over the program for one runtime
+// segment (see Profile.Segment). It never mutates the program.
+func (p *Program) Walk(segment int) *Generator {
+	return &Generator{
+		prog:    p,
+		blocks:  p.blocks,
+		segment: segment,
+		states:  make([]BranchState, len(p.blocks)),
+		rng:     rand.New(rand.NewSource(runtimeSeed(p.prof.Seed, segment))),
+		mem:     newMemGen(p.prof.Mem, 0),
+	}
+}
+
+// Build constructs the static program for a profile; p.Segment is
+// ignored. It panics on structurally invalid profiles (no blocks, no
+// mix): profiles are compiled into the binary, so these are
+// programming errors.
+func Build(p Profile) *Program {
 	if p.Blocks < 2 {
 		panic(fmt.Sprintf("workload %q: need at least 2 blocks", p.Name))
 	}
@@ -128,15 +200,12 @@ func New(p Profile) *Generator {
 	// assignment draw from independent streams, so tuning the behavior
 	// mix never rewires the CFG: hotness stays put while the branch
 	// population changes, which keeps calibration stable.
+	p.Segment = 0
 	crng := rand.New(rand.NewSource(p.Seed))
 	brng := rand.New(rand.NewSource(p.Seed*0x6C62272E + 0x1B873593))
-	g := &Generator{
+	g := &Program{
 		prof:   p,
 		blocks: make([]block, p.Blocks),
-		states: make([]BranchState, p.Blocks),
-		rng:    rand.New(rand.NewSource(runtimeSeed(p))),
-		mem:    newMemGen(p.Mem, 0),
-		pcIdx:  make(map[uint64]int, p.Blocks),
 	}
 	// Normalize mix weights into a CDF.
 	var total float64
@@ -166,11 +235,10 @@ func New(p Profile) *Generator {
 	for i := range g.blocks {
 		b := &g.blocks[i]
 		b.pc = pc
-		g.pcIdx[pc] = i
 		n := 1 + crng.Intn(2*p.MeanBlockLen-1) // mean ≈ MeanBlockLen
-		b.body = make([]trace.Uop, n)
+		b.body = make([]op, n)
 		for j := range b.body {
-			b.body[j] = g.makeBodyUop(crng, pc, &recent)
+			b.body[j] = g.makeBodyOp(crng, &recent)
 			pc += 4
 		}
 		b.term = g.makeTerminal(crng, pc, i)
@@ -183,7 +251,6 @@ func New(p Profile) *Generator {
 			b.term.Taken = false
 		}
 		pc += 4
-		b.bi = i
 		// Fallthrough goes to the next block; taken targets depend on
 		// the terminal kind (wired after behavior assignment below).
 		b.fallTo = (i + 1) % p.Blocks
@@ -226,52 +293,12 @@ func New(p Profile) *Generator {
 		b := &g.blocks[i]
 		b.term.Target = g.blocks[b.takenTo].pc
 	}
+	// The bare-CFG probe walk alone orders the blocks by hotness. It
+	// gets the hot/cold ordering right; direction (orientation) and
+	// loop dwell are structural, so the behaviors dealt against it do
+	// not move execution far from what it measured.
 	g.assignBehaviors(brng, g.probeHotness())
-	// The bare-CFG probe gets hot/cold ordering right but misjudges
-	// individual hot blocks; since direction (orientation) and loop
-	// dwell are structural, a walk with the assigned behaviors stays
-	// representative under reassignment, so one refinement pass with
-	// measured hotness converges. The behavior RNG is re-seeded so
-	// both passes draw identical per-branch parameters for blocks
-	// whose class did not move.
-	brng2 := rand.New(rand.NewSource(p.Seed*0x6C62272E + 0x1B873593))
-	g.assignBehaviors(brng2, g.measuredHotness())
-	g.resetWalk()
 	return g
-}
-
-// measuredHotness walks the CFG with the currently assigned behaviors
-// and counts conditional-branch executions per block.
-func (g *Generator) measuredHotness() []uint64 {
-	g.resetWalk()
-	visits := make([]uint64, len(g.blocks))
-	steps := 300 * len(g.blocks)
-	if steps < 200_000 {
-		steps = 200_000
-	}
-	for n := 0; n < steps; n++ {
-		u, _ := g.Next()
-		if u.Kind.IsConditional() {
-			visits[g.prevBlock]++
-		}
-	}
-	return visits
-}
-
-// resetWalk rewinds all dynamic state so the generator starts from a
-// pristine walk (used between construction-time probes and real use).
-func (g *Generator) resetWalk() {
-	for i := range g.states {
-		g.states[i] = BranchState{}
-	}
-	g.rng = rand.New(rand.NewSource(runtimeSeed(g.prof)))
-	g.mem = newMemGen(g.prof.Mem, 0)
-	g.ghist = 0
-	g.phase = false
-	g.cur, g.pos = 0, 0
-	g.prevBlock = 0
-	g.stack.n = 0
-	g.branches, g.uops = 0, 0
 }
 
 // assignBehaviors distributes the mix classes over the forward static
@@ -282,7 +309,7 @@ func (g *Generator) resetWalk() {
 // classes are dealt greedily (hottest branches first) against
 // per-class dynamic budgets. Backward (loop) branches already carry
 // their structural Loop behavior and are skipped.
-func (g *Generator) assignBehaviors(brng *rand.Rand, visits []uint64) {
+func (g *Program) assignBehaviors(brng *rand.Rand, visits []uint64) {
 	extreme := make([]int, 0, len(g.blocks))
 	middle := make([]int, 0, len(g.blocks))
 	for i := range g.blocks {
@@ -324,7 +351,7 @@ func (g *Generator) assignBehaviors(brng *rand.Rand, visits []uint64) {
 // moves boundary blocks between adjacent classes — which is what
 // keeps calibration smooth (greedy fills flip discretely when a hot
 // block crosses a budget edge).
-func (g *Generator) deal(brng *rand.Rand, blocks []int, visits []uint64, mix []MixEntry) {
+func (g *Program) deal(brng *rand.Rand, blocks []int, visits []uint64, mix []MixEntry) {
 	if len(blocks) == 0 {
 		return
 	}
@@ -395,7 +422,7 @@ func (g *Generator) deal(brng *rand.Rand, blocks []int, visits []uint64, mix []M
 // orientedMake builds a behavior from a mix entry, flipping biased
 // behaviors onto the block's structural orientation so the probe's
 // assumed direction holds.
-func (g *Generator) orientedMake(brng *rand.Rand, m MixEntry, bi int) Behavior {
+func (g *Program) orientedMake(brng *rand.Rand, m MixEntry, bi int) Behavior {
 	bh := m.Make(brng)
 	orient := g.blocks[bi].orient
 	if orient == 0 {
@@ -429,7 +456,7 @@ func (g *Generator) orientedMake(brng *rand.Rand, m MixEntry, bi int) Behavior {
 // executions per block. Backward edges already know their loop period,
 // so their dwell is modeled exactly; forward branches are mild coin
 // flips. The estimate only needs the hot/cold ordering roughly right.
-func (g *Generator) probeHotness() []uint64 {
+func (g *Program) probeHotness() []uint64 {
 	visits := make([]uint64, len(g.blocks))
 	prng := rand.New(rand.NewSource(g.prof.Seed ^ 0x2545F491))
 	cur := 0
@@ -475,7 +502,7 @@ func sortByVisitsDesc(order []int, visits []uint64) {
 
 // zipfBlock picks a block index with a heavy-tailed preference for
 // low indices, concentrating execution on a hot subset like real code.
-func (g *Generator) zipfBlock(rng *rand.Rand) int {
+func (g *Program) zipfBlock(rng *rand.Rand) int {
 	f := math.Pow(rng.Float64(), 1.6)
 	i := int(f * float64(len(g.blocks)))
 	if i >= len(g.blocks) {
@@ -484,8 +511,8 @@ func (g *Generator) zipfBlock(rng *rand.Rand) int {
 	return i
 }
 
-func (g *Generator) makeBodyUop(rng *rand.Rand, pc uint64, recent *[]uint8) trace.Uop {
-	u := trace.Uop{PC: pc, Dst: trace.NoReg, Src1: trace.NoReg, Src2: trace.NoReg}
+func (g *Program) makeBodyOp(rng *rand.Rand, recent *[]uint8) op {
+	u := op{Dst: trace.NoReg, Src1: trace.NoReg, Src2: trace.NoReg}
 	r := rng.Float64()
 	p := g.prof
 	switch {
@@ -521,7 +548,7 @@ func (g *Generator) makeBodyUop(rng *rand.Rand, pc uint64, recent *[]uint8) trac
 	return u
 }
 
-func (g *Generator) pickSrc(rng *rand.Rand, recent []uint8) uint8 {
+func (g *Program) pickSrc(rng *rand.Rand, recent []uint8) uint8 {
 	// Prefer a recent producer (dependence locality); fall back to a
 	// random architectural register.
 	if len(recent) > 0 && rng.Float64() < 0.5 {
@@ -530,7 +557,7 @@ func (g *Generator) pickSrc(rng *rand.Rand, recent []uint8) uint8 {
 	return uint8(rng.Intn(trace.NumRegs))
 }
 
-func (g *Generator) makeTerminal(rng *rand.Rand, pc uint64, i int) trace.Uop {
+func (g *Program) makeTerminal(rng *rand.Rand, pc uint64, i int) trace.Uop {
 	u := trace.Uop{PC: pc, Dst: trace.NoReg, Src1: uint8(rng.Intn(trace.NumRegs)), Src2: trace.NoReg}
 	switch r := rng.Float64(); {
 	case r < 0.85:
@@ -549,10 +576,15 @@ func (g *Generator) makeTerminal(rng *rand.Rand, pc uint64, i int) trace.Uop {
 }
 
 // Name returns the benchmark name.
-func (g *Generator) Name() string { return g.prof.Name }
+func (g *Generator) Name() string { return g.prog.prof.Name }
 
-// Profile returns the profile the generator was built from.
-func (g *Generator) Profile() Profile { return g.prof }
+// Profile returns the profile the generator was built from, with the
+// segment it walks.
+func (g *Generator) Profile() Profile {
+	p := g.prog.prof
+	p.Segment = g.segment
+	return p
+}
 
 // StaticBranches returns the number of static conditional branches.
 func (g *Generator) StaticBranches() int {
@@ -576,24 +608,27 @@ func (g *Generator) History() uint64 { return g.ghist }
 func (g *Generator) Next() (trace.Uop, bool) {
 	b := &g.blocks[g.cur]
 	if g.pos < len(b.body) {
-		u := b.body[g.pos]
+		o, pos := b.body[g.pos], g.pos
 		g.pos++
-		if u.Kind.IsMem() {
-			u.Addr = g.mem.next(g.rng)
-		}
 		g.uops++
-		return u, true
+		var addr uint64
+		if o.Kind.IsMem() {
+			addr = g.mem.next(g.rng)
+		}
+		// The literal goes straight into the result: assembling the
+		// uop in a local and returning that copies it with wide loads
+		// that stall on the byte stores just made.
+		return trace.Uop{PC: b.pc + 4*uint64(pos), Addr: addr, Kind: o.Kind, Dst: o.Dst, Src1: o.Src1, Src2: o.Src2}, true
 	}
 	// Terminal.
 	u := b.term
 	g.pos = 0
-	g.prevBlock = g.cur
 	switch u.Kind {
 	case trace.CondBranch:
-		if g.rng.Float64() < 1/float64(g.prof.PhaseLen) {
+		if g.rng.Float64() < 1/float64(g.prog.prof.PhaseLen) {
 			g.phase = !g.phase
 		}
-		taken := b.behave.Outcome(&g.states[b.bi], Env{Ghist: g.ghist, Phase: g.phase}, g.rng)
+		taken := b.behave.Outcome(&g.states[g.cur], Env{Ghist: g.ghist, Phase: g.phase}, g.rng)
 		u.Taken = taken
 		g.ghist = g.ghist<<1 | boolBit(taken)
 		g.branches++
@@ -660,7 +695,7 @@ var _ trace.Source = (*Generator)(nil)
 // PathSource is the wrong-path interface the timing pipeline consumes:
 // a redirectable uop stream that supplies instructions fetched past a
 // mispredicted branch until recovery. *WrongPath implements it over a
-// Generator's CFG; Synthetic implements it for replayed traces with no
+// Program's CFG; Synthetic implements it for replayed traces with no
 // CFG to walk.
 type PathSource interface {
 	// Restart points the wrong path at the given fetch target.

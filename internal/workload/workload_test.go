@@ -188,7 +188,7 @@ func TestNewPanics(t *testing.T) {
 	}
 }
 
-func mustProfile(t *testing.T, name string) Profile {
+func mustProfile(t testing.TB, name string) Profile {
 	t.Helper()
 	p, err := ByName(name)
 	if err != nil {
@@ -375,15 +375,6 @@ func TestMemGenPanics(t *testing.T) {
 		}
 	}()
 	newMemGen2(MemProfile{WorkingSetBytes: 1})
-}
-
-func BenchmarkGenerator(b *testing.B) {
-	p, _ := ByName("gzip")
-	g := New(p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Next()
-	}
 }
 
 // The chunked call stack must behave exactly like a plain slice stack

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"sort"
 
 	"bce/internal/trace"
 )
@@ -17,7 +18,7 @@ import (
 // is irrelevant because wrong-path uops are squashed, never retired or
 // trained.
 type WrongPath struct {
-	g    *Generator
+	prog *Program
 	rng  *rand.Rand
 	mem  *memGen
 	cur  int
@@ -25,13 +26,15 @@ type WrongPath struct {
 	live bool
 }
 
-// NewWrongPath returns a wrong-path synthesizer over g's CFG. It
-// never mutates g.
+// NewWrongPath returns a wrong-path synthesizer over the program g
+// walks, with randomness drawn from g's segment. It never mutates g or
+// its program.
 func NewWrongPath(g *Generator) *WrongPath {
+	p := g.prog.prof
 	return &WrongPath{
-		g:   g,
-		rng: rand.New(rand.NewSource((g.prof.Seed ^ 0x5DEECE66D) + int64(g.prof.Segment)*0x2545F491)),
-		mem: newMemGen(g.prof.Mem, 1),
+		prog: g.prog,
+		rng:  rand.New(rand.NewSource((p.Seed ^ 0x5DEECE66D) + int64(g.segment)*0x2545F491)),
+		mem:  newMemGen(p.Mem, 1),
 	}
 }
 
@@ -40,10 +43,12 @@ func NewWrongPath(g *Generator) *WrongPath {
 // fall-through PC) resume at that block; anything else hashes onto
 // some block.
 func (w *WrongPath) Restart(targetPC uint64) {
-	if i, ok := w.g.pcIdx[targetPC]; ok {
+	blocks := w.prog.blocks
+	i := sort.Search(len(blocks), func(i int) bool { return blocks[i].pc >= targetPC })
+	if i < len(blocks) && blocks[i].pc == targetPC {
 		w.cur = i
 	} else {
-		w.cur = int(targetPC>>2) % len(w.g.blocks)
+		w.cur = int(targetPC>>2) % len(blocks)
 	}
 	w.pos = 0
 	w.live = true
@@ -61,14 +66,15 @@ func (w *WrongPath) Next() (trace.Uop, bool) {
 	if !w.live {
 		return trace.Uop{}, false
 	}
-	b := &w.g.blocks[w.cur]
+	b := &w.prog.blocks[w.cur]
 	if w.pos < len(b.body) {
-		u := b.body[w.pos]
+		o, pos := b.body[w.pos], w.pos
 		w.pos++
-		if u.Kind.IsMem() {
-			u.Addr = w.mem.next(w.rng)
+		var addr uint64
+		if o.Kind.IsMem() {
+			addr = w.mem.next(w.rng)
 		}
-		return u, true
+		return trace.Uop{PC: b.pc + 4*uint64(pos), Addr: addr, Kind: o.Kind, Dst: o.Dst, Src1: o.Src1, Src2: o.Src2}, true
 	}
 	u := b.term
 	w.pos = 0

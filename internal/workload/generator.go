@@ -94,7 +94,6 @@ type Program struct {
 // history. It implements trace.Source and never ends.
 type Generator struct {
 	prog    *Program
-	blocks  []block // prog.blocks
 	segment int
 	states  []BranchState
 	rng     *rand.Rand
@@ -165,7 +164,6 @@ func Load(name string, segment int) (*Generator, error) {
 func (p *Program) Walk(segment int) *Generator {
 	return &Generator{
 		prog:    p,
-		blocks:  p.blocks,
 		segment: segment,
 		states:  make([]BranchState, len(p.blocks)),
 		rng:     rand.New(rand.NewSource(runtimeSeed(p.prof.Seed, segment))),
@@ -589,8 +587,8 @@ func (g *Generator) Profile() Profile {
 // StaticBranches returns the number of static conditional branches.
 func (g *Generator) StaticBranches() int {
 	n := 0
-	for i := range g.blocks {
-		if g.blocks[i].term.Kind == trace.CondBranch {
+	for i := range g.prog.blocks {
+		if g.prog.blocks[i].term.Kind == trace.CondBranch {
 			n++
 		}
 	}
@@ -606,7 +604,7 @@ func (g *Generator) History() uint64 { return g.ghist }
 // Next implements trace.Source; the stream is infinite so ok is
 // always true.
 func (g *Generator) Next() (trace.Uop, bool) {
-	b := &g.blocks[g.cur]
+	b := &g.prog.blocks[g.cur]
 	if g.pos < len(b.body) {
 		o, pos := b.body[g.pos], g.pos
 		g.pos++
@@ -643,7 +641,7 @@ func (g *Generator) Next() (trace.Uop, bool) {
 	case trace.Ret:
 		if ret, ok := g.stack.pop(); ok {
 			g.cur = int(ret)
-			u.Target = g.blocks[g.cur].pc
+			u.Target = g.prog.blocks[g.cur].pc
 		} else {
 			g.cur = b.takenTo
 		}
@@ -712,8 +710,8 @@ type PathSource interface {
 // class name; calibration tooling uses it to attribute mispredictions.
 func (g *Generator) BranchKinds() map[uint64]string {
 	out := make(map[uint64]string)
-	for i := range g.blocks {
-		b := &g.blocks[i]
+	for i := range g.prog.blocks {
+		b := &g.prog.blocks[i]
 		if b.term.Kind == trace.CondBranch && b.behave != nil {
 			out[b.term.PC] = b.behave.Kind()
 		}
@@ -725,9 +723,9 @@ func (g *Generator) BranchKinds() map[uint64]string {
 // pc, or nil; calibration tooling uses it to compute class-conditional
 // statistics exactly.
 func (g *Generator) BehaviorAt(pc uint64) Behavior {
-	for i := range g.blocks {
-		if g.blocks[i].term.PC == pc && g.blocks[i].term.Kind == trace.CondBranch {
-			return g.blocks[i].behave
+	for i := range g.prog.blocks {
+		if b := &g.prog.blocks[i]; b.term.PC == pc && b.term.Kind == trace.CondBranch {
+			return b.behave
 		}
 	}
 	return nil

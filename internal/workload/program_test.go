@@ -104,6 +104,12 @@ func TestSharedProgramConcurrentWalks(t *testing.T) {
 	wg.Wait()
 }
 
+// Sinks keep the benchmarked calls from being optimized away.
+var (
+	programSink *Program
+	uopSink     trace.Uop
+)
+
 // BenchmarkBuildPrograms builds all 12 benchmark programs per
 // iteration: the set-up Load saves after the first use of each.
 func BenchmarkBuildPrograms(b *testing.B) {
@@ -111,7 +117,7 @@ func BenchmarkBuildPrograms(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, p := range ps {
-			Build(p)
+			programSink = Build(p)
 		}
 	}
 }
@@ -123,7 +129,7 @@ func BenchmarkGeneratorNext(b *testing.B) {
 		g := New(mustProfile(b, "gzip"))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			g.Next()
+			uopSink, _ = g.Next()
 		}
 	})
 	b.Run("wrong", func(b *testing.B) {
@@ -140,7 +146,7 @@ func BenchmarkGeneratorNext(b *testing.B) {
 			if i%32 == 0 {
 				w.Restart(targets[i/32%len(targets)])
 			}
-			w.Next()
+			uopSink, _ = w.Next()
 		}
 	})
 }

@@ -172,8 +172,9 @@ func Benchmarks() []string { return workload.Names() }
 // BenchmarkProfile returns the named benchmark's workload profile.
 func BenchmarkProfile(name string) (Profile, error) { return workload.ByName(name) }
 
-// NewGenerator builds the named benchmark's trace generator. It
-// panics on unknown names (use BenchmarkProfile to check first).
+// NewGenerator returns a fresh trace generator over the named
+// benchmark's program, which is built once per process. It panics on
+// unknown names (use BenchmarkProfile to check first).
 func NewGenerator(name string) *Generator {
 	g, err := workload.Load(name, 0)
 	if err != nil {

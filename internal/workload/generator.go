@@ -161,13 +161,13 @@ func Load(name string, segment int) (*Generator, error) {
 
 // Walk returns a fresh walker over the program for one runtime
 // segment (see Profile.Segment). It never mutates the program.
-func (p *Program) Walk(segment int) *Generator {
+func (g *Program) Walk(segment int) *Generator {
 	return &Generator{
-		prog:    p,
+		prog:    g,
 		segment: segment,
-		states:  make([]BranchState, len(p.blocks)),
-		rng:     rand.New(rand.NewSource(runtimeSeed(p.prof.Seed, segment))),
-		mem:     newMemGen(p.prof.Mem, 0),
+		states:  make([]BranchState, len(g.blocks)),
+		rng:     rand.New(rand.NewSource(runtimeSeed(g.prof.Seed, segment))),
+		mem:     newMemGen(g.prof.Mem, 0),
 	}
 }
 
@@ -198,9 +198,9 @@ func Build(p Profile) *Program {
 	// assignment draw from independent streams, so tuning the behavior
 	// mix never rewires the CFG: hotness stays put while the branch
 	// population changes, which keeps calibration stable.
-	p.Segment = 0
 	crng := rand.New(rand.NewSource(p.Seed))
 	brng := rand.New(rand.NewSource(p.Seed*0x6C62272E + 0x1B873593))
+	p.Segment = 0 // a Program serves every segment
 	g := &Program{
 		prof:   p,
 		blocks: make([]block, p.Blocks),

@@ -74,6 +74,7 @@ func (w *WrongPath) Next() (trace.Uop, bool) {
 		if o.Kind.IsMem() {
 			addr = w.mem.next(w.rng)
 		}
+		// Returned directly, for the reason given in Generator.Next.
 		return trace.Uop{PC: b.pc + 4*uint64(pos), Addr: addr, Kind: o.Kind, Dst: o.Dst, Src1: o.Src1, Src2: o.Src2}, true
 	}
 	u := b.term

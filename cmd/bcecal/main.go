@@ -219,64 +219,80 @@ func run(ctx context.Context, bench string, uops, workers int, cacheDir string, 
 	return nil
 }
 
+// warmup is the number of uops run before measurement starts.
+const warmup = 100_000
+
+// measuredBranches runs the baseline hybrid over warm+uops uops of g
+// and calls f for every conditional branch in the measured span (uops
+// warm to warm+uops-1) with its PC and whether the predictor missed
+// it.
+func measuredBranches(g *workload.Generator, warm, uops int, f func(pc uint64, miss bool)) {
+	pred := predictor.NewBaselineHybrid()
+	total := uint64(max(0, warm+uops))
+	for next := uint64(0); ; {
+		pc, taken, n := g.NextBranch()
+		next += n // the branch is uop next-1
+		if next > total {
+			return
+		}
+		pt := pred.Predict(pc)
+		pred.Update(pc, taken)
+		if next > uint64(warm) {
+			f(pc, pt != taken)
+		}
+	}
+}
+
+// mispRate returns the benchmark's mispredictions per 1000 measured
+// uops.
 func mispRate(name string, uops int) (float64, error) {
 	g, err := workload.Load(name, 0)
 	if err != nil {
 		return 0, err
 	}
-	pred := predictor.NewBaselineHybrid()
-	const warm = 100_000
-	var measured, misp int
-	for i := 0; i < warm+uops; i++ {
-		u, _ := g.Next()
-		if i >= warm {
-			measured++
-		}
-		if !u.Kind.IsConditional() {
-			continue
-		}
-		pt := pred.Predict(u.PC)
-		pred.Update(u.PC, u.Taken)
-		if i >= warm && pt != u.Taken {
+	var misp int
+	measuredBranches(g, warmup, uops, func(_ uint64, miss bool) {
+		if miss {
 			misp++
 		}
-	}
-	return 1000 * float64(misp) / float64(measured), nil
+	})
+	return 1000 * float64(misp) / float64(uops), nil
 }
 
-func attribute(name string, uops int) error {
+// classCount counts a behavior class's measured branches and misses.
+type classCount struct{ n, miss int }
+
+// classCounts attributes the measured branches and mispredictions to
+// behavior classes (the class name without its parameters).
+func classCounts(name string, uops int) (map[string]*classCount, error) {
 	g, err := workload.Load(name, 0)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	kinds := g.BranchKinds()
-	pred := predictor.NewBaselineHybrid()
-	type agg struct{ n, miss int }
-	byClass := map[string]*agg{}
-	const warm = 100_000
-	for i := 0; i < warm+uops; i++ {
-		u, _ := g.Next()
-		if !u.Kind.IsConditional() {
-			continue
-		}
-		pt := pred.Predict(u.PC)
-		pred.Update(u.PC, u.Taken)
-		if i < warm {
-			continue
-		}
-		k := kinds[u.PC]
+	byClass := map[string]*classCount{}
+	measuredBranches(g, warmup, uops, func(pc uint64, miss bool) {
+		k := kinds[pc]
 		if j := strings.IndexByte(k, '('); j > 0 {
 			k = k[:j]
 		}
 		a := byClass[k]
 		if a == nil {
-			a = &agg{}
+			a = &classCount{}
 			byClass[k] = a
 		}
 		a.n++
-		if pt != u.Taken {
+		if miss {
 			a.miss++
 		}
+	})
+	return byClass, nil
+}
+
+func attribute(name string, uops int) error {
+	byClass, err := classCounts(name, uops)
+	if err != nil {
+		return err
 	}
 	var ks []string
 	for k := range byClass {

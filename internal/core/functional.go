@@ -12,7 +12,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"bce/internal/confidence"
 	"bce/internal/metrics"
@@ -99,7 +98,9 @@ type FunctionalConfig struct {
 // correct-path stream: for each conditional branch, predict, estimate,
 // then immediately update and train in program order. This matches
 // what the timing pipeline converges to for retired branches, without
-// timing.
+// timing. It walks the branch stream alone (workload's NextBranch),
+// building no uops: a branch is measured when its uop index falls in
+// [WarmupUops, WarmupUops+MeasureUops), and Uops is MeasureUops.
 func RunFunctional(cfg FunctionalConfig) (FunctionalResult, error) {
 	// A plan-mode (CollectJobs) pass skips functional work entirely:
 	// functional runs are cheap, never distributed, and the planner
@@ -194,28 +195,26 @@ func runFunctionalSegment(cfg FunctionalConfig, segment int) (FunctionalResult, 
 		res.WrongHist = metrics.NewHistogram(-cfg.HistRange, cfg.HistRange, bin)
 	}
 
+	// The branch at 0-based uop index i is measured when
+	// WarmupUops <= i < total. The walker is discarded afterwards, so
+	// the uops of the last block past total do not matter.
 	total := cfg.WarmupUops + cfg.MeasureUops
-	for n := uint64(0); n < total; n++ {
-		u, ok := gen.Next()
-		if !ok {
-			return res, fmt.Errorf("core: %s stream ended early", cfg.Bench)
+	oracle, isOracle := est.(confidence.TraceOracle)
+	for next := uint64(0); ; {
+		pc, taken, n := gen.NextBranch()
+		next += n // the branch is uop next-1
+		if next > total {
+			break
 		}
-		measuring := n >= cfg.WarmupUops
-		if measuring {
-			res.Uops++
+		predTaken := pred.Predict(pc)
+		misp := predTaken != taken
+		if isOracle {
+			oracle.ObserveNext(misp)
 		}
-		if !u.Kind.IsConditional() {
-			continue
-		}
-		predTaken := pred.Predict(u.PC)
-		misp := predTaken != u.Taken
-		if or, isOracle := est.(confidence.TraceOracle); isOracle {
-			or.ObserveNext(misp)
-		}
-		tok := est.Estimate(u.PC, predTaken)
-		pred.Update(u.PC, u.Taken)
-		est.Train(u.PC, tok, misp, u.Taken)
-		if !measuring {
+		tok := est.Estimate(pc, predTaken)
+		pred.Update(pc, taken)
+		est.Train(pc, tok, misp, taken)
+		if next <= cfg.WarmupUops {
 			continue
 		}
 		res.Branches++
@@ -228,6 +227,7 @@ func runFunctionalSegment(cfg FunctionalConfig, segment int) (FunctionalResult, 
 			}
 		}
 	}
+	res.Uops = cfg.MeasureUops
 	return res, nil
 }
 

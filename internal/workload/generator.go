@@ -67,6 +67,7 @@ type op struct {
 type block struct {
 	pc      uint64
 	body    []op
+	mems    int       // memory ops in body: the address draws walking it makes
 	term    trace.Uop // static terminal; Taken/Target resolved dynamically
 	behave  Behavior  // nil for unconditional terminals
 	takenTo int
@@ -91,7 +92,8 @@ type Program struct {
 // stream for one runtime segment. It owns all the dynamic state: the
 // per-branch behavior state, the runtime randomness, the data-address
 // streams, the cursor, the return-address stack and the global
-// history. It implements trace.Source and never ends.
+// history. It implements trace.Source and never ends; NextBranch walks
+// the same stream one conditional branch at a time.
 type Generator struct {
 	prog    *Program
 	segment int
@@ -237,6 +239,9 @@ func Build(p Profile) *Program {
 		b.body = make([]op, n)
 		for j := range b.body {
 			b.body[j] = g.makeBodyOp(crng, &recent)
+			if b.body[j].Kind.IsMem() {
+				b.mems++
+			}
 			pc += 4
 		}
 		b.term = g.makeTerminal(crng, pc, i)
@@ -618,16 +623,59 @@ func (g *Generator) Next() (trace.Uop, bool) {
 		// that stall on the byte stores just made.
 		return trace.Uop{PC: b.pc + 4*uint64(pos), Addr: addr, Kind: o.Kind, Dst: o.Dst, Src1: o.Src1, Src2: o.Src2}, true
 	}
-	// Terminal.
-	u := b.term
+	taken, target := g.terminal(b)
+	// Built as a literal too: copying b.term and setting Taken and
+	// Target on the copy stalls the same way.
+	t := &b.term
+	return trace.Uop{PC: t.PC, Target: target, Kind: t.Kind, Taken: taken, Dst: t.Dst, Src1: t.Src1, Src2: t.Src2}, true
+}
+
+// NextBranch advances the walk to the next conditional branch and
+// returns its PC and direction, and n, the number of uops consumed
+// with the branch included. It walks a block per step and builds no
+// uops, but it draws every memory op's address in order, so the walk
+// stays on the stream Next yields: after any mix of Next and
+// NextBranch calls, Next continues exactly where the uop stream would,
+// and Counts and History read the same.
+func (g *Generator) NextBranch() (pc uint64, taken bool, n uint64) {
+	for {
+		b := &g.prog.blocks[g.cur]
+		if g.pos == 0 {
+			for i := 0; i < b.mems; i++ {
+				g.mem.next(g.rng)
+			}
+		} else {
+			for _, o := range b.body[g.pos:] {
+				if o.Kind.IsMem() {
+					g.mem.next(g.rng)
+				}
+			}
+		}
+		body := uint64(len(b.body) - g.pos)
+		g.uops += body
+		n += body + 1
+		taken, _ = g.terminal(b)
+		if b.term.Kind == trace.CondBranch {
+			return b.term.PC, taken, n
+		}
+	}
+}
+
+// terminal executes the terminal of b, the block at the cursor: it
+// resolves the direction and target (drawing the phase toggle and the
+// behavior outcome of a conditional branch), updates the history,
+// branch count and return-address stack, and moves the cursor to the
+// successor block.
+func (g *Generator) terminal(b *block) (taken bool, target uint64) {
+	taken, target = b.term.Taken, b.term.Target
 	g.pos = 0
-	switch u.Kind {
+	g.uops++
+	switch b.term.Kind {
 	case trace.CondBranch:
 		if g.rng.Float64() < 1/float64(g.prog.prof.PhaseLen) {
 			g.phase = !g.phase
 		}
-		taken := b.behave.Outcome(&g.states[g.cur], Env{Ghist: g.ghist, Phase: g.phase}, g.rng)
-		u.Taken = taken
+		taken = b.behave.Outcome(&g.states[g.cur], Env{Ghist: g.ghist, Phase: g.phase}, g.rng)
 		g.ghist = g.ghist<<1 | boolBit(taken)
 		g.branches++
 		if taken {
@@ -641,15 +689,14 @@ func (g *Generator) Next() (trace.Uop, bool) {
 	case trace.Ret:
 		if ret, ok := g.stack.pop(); ok {
 			g.cur = int(ret)
-			u.Target = g.prog.blocks[g.cur].pc
+			target = g.prog.blocks[g.cur].pc
 		} else {
 			g.cur = b.takenTo
 		}
 	default: // Jump
 		g.cur = b.takenTo
 	}
-	g.uops++
-	return u, true
+	return taken, target
 }
 
 // callStack is the generator's return-address stack of block indices.

@@ -104,10 +104,94 @@ func TestSharedProgramConcurrentWalks(t *testing.T) {
 	wg.Wait()
 }
 
+// TestNextBranchMatchesNext checks NextBranch against Next filtered to
+// conditional branches: the same PCs, directions and uop gaps, the
+// same Counts and History at every branch, and the same walk state,
+// so that Next after any number of NextBranch calls (and NextBranch
+// after Next stopped mid-block) continues the reference stream,
+// addresses included.
+func TestNextBranchMatchesNext(t *testing.T) {
+	const n = 200_000
+	for _, name := range Names() {
+		for seg := 0; seg < 2; seg++ {
+			walk := func() *Generator {
+				g, err := Load(name, seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g
+			}
+			// The reference: n uops of Next plus a margin for the
+			// last NextBranch, with the branch count and history
+			// after each uop.
+			ref := walk()
+			m := n + 4096
+			uops := make([]trace.Uop, m)
+			branches := make([]uint64, m)
+			hist := make([]uint64, m)
+			for i := range uops {
+				uops[i], _ = ref.Next()
+				_, branches[i] = ref.Counts()
+				hist[i] = ref.History()
+			}
+			// check compares g's state after it consumed the first
+			// i uops of the reference.
+			check := func(g *Generator, i int, how string) {
+				t.Helper()
+				gu, gb := g.Counts()
+				if gu != uint64(i) || gb != branches[i-1] || g.History() != hist[i-1] {
+					t.Fatalf("%s/%d after %d uops (%s): Counts %d,%d History %#x, want %d,%d %#x",
+						name, seg, i, how, gu, gb, g.History(), i, branches[i-1], hist[i-1])
+				}
+			}
+			branch := func(g *Generator, i int) int {
+				t.Helper()
+				pc, taken, k := g.NextBranch()
+				if k == 0 {
+					t.Fatalf("%s/%d: NextBranch after uop %d consumed no uops", name, seg, i)
+				}
+				i += int(k)
+				if u := uops[i-1]; !u.IsConditional() || u.PC != pc || u.Taken != taken {
+					t.Fatalf("%s/%d: NextBranch ended at uop %d as (%#x, %v), reference uop is %v", name, seg, i-1, pc, taken, u)
+				}
+				for _, u := range uops[i-int(k) : i-1] {
+					if u.IsConditional() {
+						t.Fatalf("%s/%d: NextBranch skipped the conditional branch %v before uop %d", name, seg, u, i-1)
+					}
+				}
+				check(g, i, "NextBranch")
+				return i
+			}
+
+			g := walk()
+			for i := 0; i < n; {
+				i = branch(g, i)
+			}
+
+			// Mixed: a varying number of Next calls, usually stopping
+			// mid-block, then one to three NextBranch calls.
+			g = walk()
+			for i, step := 0, 0; i < n; step++ {
+				for j := 0; j < step*7%23; j++ {
+					if u, _ := g.Next(); u != uops[i] {
+						t.Fatalf("%s/%d: mixed walk uop %d is %v, reference %v", name, seg, i, u, uops[i])
+					}
+					i++
+					check(g, i, "Next")
+				}
+				for j := 0; j <= step%3; j++ {
+					i = branch(g, i)
+				}
+			}
+		}
+	}
+}
+
 // Sinks keep the benchmarked calls from being optimized away.
 var (
 	programSink *Program
 	uopSink     trace.Uop
+	pcSink      uint64
 )
 
 // BenchmarkBuildPrograms builds all 12 benchmark programs per
@@ -149,4 +233,19 @@ func BenchmarkGeneratorNext(b *testing.B) {
 			uopSink, _ = w.Next()
 		}
 	})
+}
+
+// BenchmarkGeneratorNextBranch times the walk to one conditional
+// branch, the functional path's step; uops/s counts the uops walked.
+func BenchmarkGeneratorNextBranch(b *testing.B) {
+	g := New(mustProfile(b, "gzip"))
+	var uops uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pc, _, n := g.NextBranch()
+		pcSink += pc
+		uops += n
+	}
+	b.ReportMetric(float64(uops)/b.Elapsed().Seconds(), "uops/s")
 }

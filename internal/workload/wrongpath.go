@@ -77,15 +77,15 @@ func (w *WrongPath) Next() (trace.Uop, bool) {
 		// Returned directly, for the reason given in Generator.Next.
 		return trace.Uop{PC: b.pc + 4*uint64(pos), Addr: addr, Kind: o.Kind, Dst: o.Dst, Src1: o.Src1, Src2: o.Src2}, true
 	}
-	u := b.term
 	w.pos = 0
-	switch u.Kind {
+	taken := b.term.Taken
+	switch b.term.Kind {
 	case trace.CondBranch:
 		// Wrong-path branch outcomes are unknowable from the trace;
 		// randomize. They are never retired, so this only affects
 		// which wrong-path blocks are walked.
-		u.Taken = w.rng.Intn(2) == 0
-		if u.Taken {
+		taken = w.rng.Intn(2) == 0
+		if taken {
 			w.cur = b.takenTo
 		} else {
 			w.cur = b.fallTo
@@ -93,7 +93,9 @@ func (w *WrongPath) Next() (trace.Uop, bool) {
 	default:
 		w.cur = b.takenTo
 	}
-	return u, true
+	// Built as a literal, for the reason given in Generator.Next.
+	t := &b.term
+	return trace.Uop{PC: t.PC, Target: t.Target, Kind: t.Kind, Taken: taken, Dst: t.Dst, Src1: t.Src1, Src2: t.Src2}, true
 }
 
 var _ trace.Source = (*WrongPath)(nil)

@@ -115,7 +115,7 @@ func (w wire) packed(field int, vs ...uint64) wire {
 // keeps and checks Parse resolves it, raw and gzipped alike.
 func TestEncodeParseRoundTrip(t *testing.T) {
 	strs := []string{"", "samples", "count", "cpu", "nanoseconds",
-		"bce/internal/perceptron.dotGeneric", "bce/internal/core.(*Simulator).Step", "runtime.mallocgc"}
+		"bce/internal/perceptron.dotKernel", "bce/internal/core.(*Simulator).Step", "runtime.mallocgc"}
 	var raw wire
 	for _, s := range strs {
 		raw = raw.msg(6, []byte(s))
@@ -126,7 +126,7 @@ func TestEncodeParseRoundTrip(t *testing.T) {
 	for id, name := range []uint64{5, 6, 7} {
 		raw = raw.msg(5, wire{}.num(1, uint64(id+1)).num(2, name))
 	}
-	// Location 1 inlines dotGeneric (deepest first) into Step; location
+	// Location 1 inlines dotKernel (deepest first) into Step; location
 	// 2 is mallocgc; location 3 is an unsymbolized address.
 	raw = raw.msg(4, wire{}.num(1, 1).msg(4, wire{}.num(1, 1)).msg(4, wire{}.num(1, 2))).
 		msg(4, wire{}.num(1, 2).msg(4, wire{}.num(1, 3))).

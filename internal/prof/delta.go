@@ -8,8 +8,8 @@ import (
 
 // delta.go is the attribution engine: given two profiles of the same
 // kind, it aggregates each into per-function flat/cum totals and
-// diffs them, so "the kernel suite got 40% slower" becomes "the time
-// went into perceptron.dotGeneric". Flat is the value attributed to
+// diffs them, so "the sweep got 40% slower" becomes "the time
+// went into perceptron.dotKernel". Flat is the value attributed to
 // samples whose *leaf* is the function; Cum counts a sample once for
 // every function appearing anywhere in its stack (each function at
 // most once per sample, so recursion doesn't double-count).
@@ -133,11 +133,11 @@ func (d *Delta) Top(n int) []DeltaLine {
 }
 
 // Table renders the top-n delta as an aligned text table, the form
-// bcebench and bcereport print under a failed gate:
+// bcereport prints under -compare:
 //
 //	profile delta (cpu, nanoseconds): total 1.20s -> 1.86s (+55.0%)
 //	     base flat     cand flat         delta   function
-//	       450.0ms       980.0ms      +530.0ms   bce/internal/perceptron.dotGeneric
+//	       450.0ms       980.0ms      +530.0ms   bce/internal/perceptron.dotKernel
 func (d *Delta) Table(n int) string {
 	var b strings.Builder
 	pct := "n/a"

@@ -122,8 +122,8 @@ func TestDiffUnitMismatch(t *testing.T) {
 }
 
 func TestTable(t *testing.T) {
-	base := cpuProfile(Sample{Stack: stack("bce/internal/perceptron.dotGeneric"), Values: []int64{450_000_000}})
-	cand := cpuProfile(Sample{Stack: stack("bce/internal/perceptron.dotGeneric"), Values: []int64{980_000_000}})
+	base := cpuProfile(Sample{Stack: stack("bce/internal/perceptron.dotKernel"), Values: []int64{450_000_000}})
+	cand := cpuProfile(Sample{Stack: stack("bce/internal/perceptron.dotKernel"), Values: []int64{980_000_000}})
 	d, err := Diff(base, cand)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestTable(t *testing.T) {
 	for _, want := range []string{
 		"profile delta (cpu, nanoseconds)",
 		"450.0ms", "980.0ms", "+530.0ms",
-		"bce/internal/perceptron.dotGeneric",
+		"bce/internal/perceptron.dotKernel",
 		"+117.8%",
 	} {
 		if !strings.Contains(tbl, want) {

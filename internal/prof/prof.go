@@ -1,10 +1,10 @@
 // Package prof profiles a process and explains where its CPU went. A
 // binary run with -profile-dir records one CPU profile spanning the
 // whole process plus a heap snapshot at exit into a content-addressed
-// ring (Enable, Ring); manifests and bench reports keep only the
-// digests. The rest of the package parses the pprof protobuf format
-// and diffs two profiles into per-function flat/cum deltas, so a
-// benchmark or manifest regression can name the symbols responsible.
+// ring (Enable, Ring); manifests keep only the digests. The rest of
+// the package parses the pprof protobuf format and diffs two profiles
+// into per-function flat/cum deltas, so a manifest regression can name
+// the symbols responsible.
 //
 // The package is dependency-free by construction: the pprof wire
 // format is hand-decoded (decode.go) against the stable profile.proto

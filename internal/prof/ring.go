@@ -15,10 +15,9 @@ import (
 // total-byte caps with oldest-first eviction — the same
 // write-then-rename, digest-named discipline as the runner's result
 // cache, so the two can live side by side. Content addressing is what
-// makes cross-run attribution cheap: a manifest or bench report
-// records only digests, and any ring holding those digests can serve
-// the bytes. Every entry is a gzipped pprof file that `go tool pprof`
-// reads as is.
+// makes cross-run attribution cheap: a manifest records only digests,
+// and any ring holding those digests can serve the bytes. Every entry
+// is a gzipped pprof file that `go tool pprof` reads as is.
 
 const ringSuffix = ".pprof"
 

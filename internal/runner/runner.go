@@ -113,7 +113,7 @@ func (p *Pool) progressFunc() func(Progress) {
 	return p.progress
 }
 
-// PanicError is returned by Map/ForEach when a job panicked. It
+// PanicError is returned by Map when a job panicked. It
 // carries the job's configuration (its item formatted with %+v) so a
 // crashing sweep reports which experiment died, not just where.
 type PanicError struct {
@@ -318,14 +318,6 @@ func runJob[T, R any](ctx context.Context, i int, item T, timeout time.Duration,
 		err = fmt.Errorf("%w (job error: %v)", ctx.Err(), err)
 	}
 	return r, err
-}
-
-// ForEach is Map for jobs with no result value.
-func ForEach[T any](ctx context.Context, p *Pool, items []T, fn func(ctx context.Context, i int, item T) error) error {
-	_, err := Map(ctx, p, items, func(ctx context.Context, i int, item T) (struct{}, error) {
-		return struct{}{}, fn(ctx, i, item)
-	})
-	return err
 }
 
 // KeyOf canonicalizes the given configuration parts into a single

@@ -98,20 +98,6 @@ func TestMapContextCancelled(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	items := []int64{1, 2, 3, 4, 5}
-	if err := ForEach(context.Background(), New(Options{Workers: 3}), items, func(_ context.Context, i int, item int64) error {
-		sum.Add(item)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 15 {
-		t.Errorf("sum = %d", sum.Load())
-	}
-}
-
 func TestProgressReporting(t *testing.T) {
 	var mu sync.Mutex
 	var dones []int
@@ -126,8 +112,8 @@ func TestProgressReporting(t *testing.T) {
 		}
 		dones = append(dones, pr.Done)
 	}})
-	if err := ForEach(context.Background(), p, make([]int, 10), func(_ context.Context, i, _ int) error {
-		return nil
+	if _, err := Map(context.Background(), p, make([]int, 10), func(_ context.Context, i, _ int) (int, error) {
+		return i, nil
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func (f *jobFlag) cached() bool { return f.state.Load() == 1 }
 
 // MarkCached records that the current job's result came from a cache
 // rather than a fresh computation, so progress ETAs exclude it from
-// the pace estimate. Call it from inside a Map/ForEach job function
+// the pace estimate. Call it from inside a Map job function
 // with the context that function received. A later MarkComputed wins.
 func MarkCached(ctx context.Context) {
 	if f, ok := ctx.Value(jobFlagKey{}).(*jobFlag); ok {

@@ -11,10 +11,7 @@
 // paper's experiments exercise.
 package workload
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // BranchState is the per-static-branch mutable state a Behavior may
 // use (loop trip counters, pattern positions, mode flags).
@@ -37,7 +34,7 @@ type Env struct {
 // branch.
 type Behavior interface {
 	// Outcome returns taken/not-taken for the next dynamic instance.
-	Outcome(st *BranchState, env Env, rng *rand.Rand) bool
+	Outcome(st *BranchState, env Env, rng *Rand) bool
 	// Kind names the behavior class for workload inspection tools.
 	Kind() string
 }
@@ -50,7 +47,7 @@ type Biased struct {
 }
 
 // Outcome implements Behavior.
-func (b Biased) Outcome(st *BranchState, env Env, rng *rand.Rand) bool {
+func (b Biased) Outcome(st *BranchState, env Env, rng *Rand) bool {
 	return rng.Float64() < b.PTaken
 }
 
@@ -65,7 +62,7 @@ type Loop struct {
 }
 
 // Outcome implements Behavior.
-func (l Loop) Outcome(st *BranchState, env Env, rng *rand.Rand) bool {
+func (l Loop) Outcome(st *BranchState, env Env, rng *Rand) bool {
 	st.Counter++
 	if st.Counter >= l.Period {
 		st.Counter = 0
@@ -85,7 +82,7 @@ type Pattern struct {
 }
 
 // Outcome implements Behavior.
-func (p Pattern) Outcome(st *BranchState, env Env, rng *rand.Rand) bool {
+func (p Pattern) Outcome(st *BranchState, env Env, rng *Rand) bool {
 	out := p.Seq[st.Pos]
 	st.Pos = (st.Pos + 1) % len(p.Seq)
 	return out
@@ -108,7 +105,7 @@ type GlobalCorr struct {
 }
 
 // Outcome implements Behavior.
-func (g GlobalCorr) Outcome(st *BranchState, env Env, rng *rand.Rand) bool {
+func (g GlobalCorr) Outcome(st *BranchState, env Env, rng *Rand) bool {
 	sum := 0
 	for i, b := range g.Bits {
 		v := -1
@@ -153,7 +150,7 @@ type ContextBiased struct {
 }
 
 // Outcome implements Behavior.
-func (c ContextBiased) Outcome(st *BranchState, env Env, rng *rand.Rand) bool {
+func (c ContextBiased) Outcome(st *BranchState, env Env, rng *Rand) bool {
 	minority := true
 	for i, b := range c.Bits {
 		bit := env.Ghist>>uint(b)&1 == 1
@@ -186,7 +183,7 @@ type PhaseBiased struct {
 }
 
 // Outcome implements Behavior.
-func (p PhaseBiased) Outcome(st *BranchState, env Env, rng *rand.Rand) bool {
+func (p PhaseBiased) Outcome(st *BranchState, env Env, rng *Rand) bool {
 	pr := p.P0
 	if env.Phase {
 		pr = p.P1
@@ -204,7 +201,7 @@ func (p PhaseBiased) Kind() string {
 type Random struct{}
 
 // Outcome implements Behavior.
-func (Random) Outcome(st *BranchState, env Env, rng *rand.Rand) bool {
+func (Random) Outcome(st *BranchState, env Env, rng *Rand) bool {
 	return rng.Intn(2) == 0
 }
 
@@ -245,7 +242,7 @@ func NewBlend(parts []BlendPart) *Blend {
 }
 
 // Outcome implements Behavior.
-func (b *Blend) Outcome(st *BranchState, env Env, rng *rand.Rand) bool {
+func (b *Blend) Outcome(st *BranchState, env Env, rng *Rand) bool {
 	pick := rng.Float64() * b.total
 	for _, p := range b.Parts {
 		pick -= p.Weight
@@ -268,7 +265,7 @@ type MixEntry struct {
 	// drawing from this entry (weights are normalized over the mix).
 	Weight float64
 	// Make builds one static branch's behavior.
-	Make func(rng *rand.Rand) Behavior
+	Make func(rng *Rand) Behavior
 	// Extreme marks strongly directional classes (Biased); the
 	// generator places them on structurally directional branches so
 	// the hotness probe can anticipate their paths.

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -82,7 +81,7 @@ func TestDynamicSharesTrackWeights(t *testing.T) {
 	}
 }
 
-func newTestRng() *rand.Rand { return rand.New(rand.NewSource(1)) }
+func newTestRng() *Rand { return NewRand(1) }
 
 // The generator's phase bit must toggle at roughly the configured
 // PhaseLen period.

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
 
@@ -86,6 +85,7 @@ type block struct {
 type Program struct {
 	prof   Profile // Segment is always zero
 	blocks []block // in ascending PC order
+	phaseP float64 // 1/PhaseLen: the phase toggle's probability per branch
 }
 
 // Generator walks a Program and emits the benchmark's correct-path uop
@@ -98,7 +98,7 @@ type Generator struct {
 	prog    *Program
 	segment int
 	states  []BranchState
-	rng     *rand.Rand
+	rng     Rand
 	mem     *memGen
 	ghist   uint64
 	phase   bool
@@ -164,13 +164,14 @@ func Load(name string, segment int) (*Generator, error) {
 // Walk returns a fresh walker over the program for one runtime
 // segment (see Profile.Segment). It never mutates the program.
 func (g *Program) Walk(segment int) *Generator {
-	return &Generator{
+	w := &Generator{
 		prog:    g,
 		segment: segment,
 		states:  make([]BranchState, len(g.blocks)),
-		rng:     rand.New(rand.NewSource(runtimeSeed(g.prof.Seed, segment))),
 		mem:     newMemGen(g.prof.Mem, 0),
 	}
+	w.rng.Seed(runtimeSeed(g.prof.Seed, segment))
+	return w
 }
 
 // Build constructs the static program for a profile; p.Segment is
@@ -200,12 +201,13 @@ func Build(p Profile) *Program {
 	// assignment draw from independent streams, so tuning the behavior
 	// mix never rewires the CFG: hotness stays put while the branch
 	// population changes, which keeps calibration stable.
-	crng := rand.New(rand.NewSource(p.Seed))
-	brng := rand.New(rand.NewSource(p.Seed*0x6C62272E + 0x1B873593))
+	crng := NewRand(p.Seed)
+	brng := NewRand(p.Seed*0x6C62272E + 0x1B873593)
 	p.Segment = 0 // a Program serves every segment
 	g := &Program{
 		prof:   p,
 		blocks: make([]block, p.Blocks),
+		phaseP: 1 / float64(p.PhaseLen),
 	}
 	// Normalize mix weights into a CDF.
 	var total float64
@@ -312,7 +314,7 @@ func Build(p Profile) *Program {
 // classes are dealt greedily (hottest branches first) against
 // per-class dynamic budgets. Backward (loop) branches already carry
 // their structural Loop behavior and are skipped.
-func (g *Program) assignBehaviors(brng *rand.Rand, visits []uint64) {
+func (g *Program) assignBehaviors(brng *Rand, visits []uint64) {
 	extreme := make([]int, 0, len(g.blocks))
 	middle := make([]int, 0, len(g.blocks))
 	for i := range g.blocks {
@@ -354,7 +356,7 @@ func (g *Program) assignBehaviors(brng *rand.Rand, visits []uint64) {
 // moves boundary blocks between adjacent classes — which is what
 // keeps calibration smooth (greedy fills flip discretely when a hot
 // block crosses a budget edge).
-func (g *Program) deal(brng *rand.Rand, blocks []int, visits []uint64, mix []MixEntry) {
+func (g *Program) deal(brng *Rand, blocks []int, visits []uint64, mix []MixEntry) {
 	if len(blocks) == 0 {
 		return
 	}
@@ -425,7 +427,7 @@ func (g *Program) deal(brng *rand.Rand, blocks []int, visits []uint64, mix []Mix
 // orientedMake builds a behavior from a mix entry, flipping biased
 // behaviors onto the block's structural orientation so the probe's
 // assumed direction holds.
-func (g *Program) orientedMake(brng *rand.Rand, m MixEntry, bi int) Behavior {
+func (g *Program) orientedMake(brng *Rand, m MixEntry, bi int) Behavior {
 	bh := m.Make(brng)
 	orient := g.blocks[bi].orient
 	if orient == 0 {
@@ -461,7 +463,7 @@ func (g *Program) orientedMake(brng *rand.Rand, m MixEntry, bi int) Behavior {
 // flips. The estimate only needs the hot/cold ordering roughly right.
 func (g *Program) probeHotness() []uint64 {
 	visits := make([]uint64, len(g.blocks))
-	prng := rand.New(rand.NewSource(g.prof.Seed ^ 0x2545F491))
+	prng := NewRand(g.prof.Seed ^ 0x2545F491)
 	cur := 0
 	steps := 200 * len(g.blocks)
 	if steps < 100_000 {
@@ -505,7 +507,7 @@ func sortByVisitsDesc(order []int, visits []uint64) {
 
 // zipfBlock picks a block index with a heavy-tailed preference for
 // low indices, concentrating execution on a hot subset like real code.
-func (g *Program) zipfBlock(rng *rand.Rand) int {
+func (g *Program) zipfBlock(rng *Rand) int {
 	f := math.Pow(rng.Float64(), 1.6)
 	i := int(f * float64(len(g.blocks)))
 	if i >= len(g.blocks) {
@@ -514,7 +516,7 @@ func (g *Program) zipfBlock(rng *rand.Rand) int {
 	return i
 }
 
-func (g *Program) makeBodyOp(rng *rand.Rand, recent *[]uint8) op {
+func (g *Program) makeBodyOp(rng *Rand, recent *[]uint8) op {
 	u := op{Dst: trace.NoReg, Src1: trace.NoReg, Src2: trace.NoReg}
 	r := rng.Float64()
 	p := g.prof
@@ -551,7 +553,7 @@ func (g *Program) makeBodyOp(rng *rand.Rand, recent *[]uint8) op {
 	return u
 }
 
-func (g *Program) pickSrc(rng *rand.Rand, recent []uint8) uint8 {
+func (g *Program) pickSrc(rng *Rand, recent []uint8) uint8 {
 	// Prefer a recent producer (dependence locality); fall back to a
 	// random architectural register.
 	if len(recent) > 0 && rng.Float64() < 0.5 {
@@ -560,7 +562,7 @@ func (g *Program) pickSrc(rng *rand.Rand, recent []uint8) uint8 {
 	return uint8(rng.Intn(trace.NumRegs))
 }
 
-func (g *Program) makeTerminal(rng *rand.Rand, pc uint64, i int) trace.Uop {
+func (g *Program) makeTerminal(rng *Rand, pc uint64, i int) trace.Uop {
 	u := trace.Uop{PC: pc, Dst: trace.NoReg, Src1: uint8(rng.Intn(trace.NumRegs)), Src2: trace.NoReg}
 	switch r := rng.Float64(); {
 	case r < 0.85:
@@ -616,7 +618,7 @@ func (g *Generator) Next() (trace.Uop, bool) {
 		g.uops++
 		var addr uint64
 		if o.Kind.IsMem() {
-			addr = g.mem.next(g.rng)
+			addr = g.mem.next(&g.rng)
 		}
 		// The literal goes straight into the result: assembling the
 		// uop in a local and returning that copies it with wide loads
@@ -633,24 +635,23 @@ func (g *Generator) Next() (trace.Uop, bool) {
 // NextBranch advances the walk to the next conditional branch and
 // returns its PC and direction, and n, the number of uops consumed
 // with the branch included. It walks a block per step and builds no
-// uops, but it draws every memory op's address in order, so the walk
-// stays on the stream Next yields: after any mix of Next and
-// NextBranch calls, Next continues exactly where the uop stream would,
-// and Counts and History read the same.
+// uops, but it advances the address model over every memory op in
+// order (memGen.skip), so the walk stays on the stream Next yields:
+// after any mix of Next and NextBranch calls, Next continues exactly
+// where the uop stream would, and Counts and History read the same.
 func (g *Generator) NextBranch() (pc uint64, taken bool, n uint64) {
 	for {
 		b := &g.prog.blocks[g.cur]
-		if g.pos == 0 {
-			for i := 0; i < b.mems; i++ {
-				g.mem.next(g.rng)
-			}
-		} else {
+		mems := b.mems
+		if g.pos != 0 {
+			mems = 0
 			for _, o := range b.body[g.pos:] {
 				if o.Kind.IsMem() {
-					g.mem.next(g.rng)
+					mems++
 				}
 			}
 		}
+		g.mem.skip(&g.rng, mems)
 		body := uint64(len(b.body) - g.pos)
 		g.uops += body
 		n += body + 1
@@ -672,17 +673,18 @@ func (g *Generator) terminal(b *block) (taken bool, target uint64) {
 	g.uops++
 	switch b.term.Kind {
 	case trace.CondBranch:
-		if g.rng.Float64() < 1/float64(g.prog.prof.PhaseLen) {
-			g.phase = !g.phase
-		}
-		taken = b.behave.Outcome(&g.states[g.cur], Env{Ghist: g.ghist, Phase: g.phase}, g.rng)
+		// The phase toggles with probability 1/PhaseLen.
+		g.phase = g.phase != (g.rng.Float64() < g.prog.phaseP)
+		taken = b.behave.Outcome(&g.states[g.cur], Env{Ghist: g.ghist, Phase: g.phase}, &g.rng)
 		g.ghist = g.ghist<<1 | boolBit(taken)
 		g.branches++
+		// Both successors are loaded first so that the choice is a
+		// conditional move, not a branch on the outcome.
+		next, takenTo := b.fallTo, b.takenTo
 		if taken {
-			g.cur = b.takenTo
-		} else {
-			g.cur = b.fallTo
+			next = takenTo
 		}
+		g.cur = next
 	case trace.Call:
 		g.stack.push(int32(b.fallTo))
 		g.cur = b.takenTo

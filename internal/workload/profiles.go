@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 )
 
@@ -15,7 +14,7 @@ import (
 // branch populations are dominated by very strongly biased branches
 // (guards, error checks), with a thinner tail of weaker ones.
 func BiasedMix(weight, lo, hi float64) MixEntry {
-	return MixEntry{Weight: weight, Extreme: true, Make: func(rng *rand.Rand) Behavior {
+	return MixEntry{Weight: weight, Extreme: true, Make: func(rng *Rand) Behavior {
 		u := rng.Float64()
 		p := hi - (hi-lo)*u*u
 		if rng.Intn(2) == 0 {
@@ -27,7 +26,7 @@ func BiasedMix(weight, lo, hi float64) MixEntry {
 
 // PatternMix yields repeating local patterns of length [minL, maxL].
 func PatternMix(weight float64, minL, maxL int) MixEntry {
-	return MixEntry{Weight: weight, Stateful: true, Make: func(rng *rand.Rand) Behavior {
+	return MixEntry{Weight: weight, Stateful: true, Make: func(rng *Rand) Behavior {
 		n := minL + rng.Intn(maxL-minL+1)
 		seq := make([]bool, n)
 		for i := range seq {
@@ -44,7 +43,7 @@ func PatternMix(weight float64, minL, maxL int) MixEntry {
 // recent global-history bits below maxBit, flipped with probability
 // noise. With maxBit <= 14 the baseline gshare can learn them.
 func GCorrMix(weight float64, maxBit int, noise float64) MixEntry {
-	return MixEntry{Weight: weight, Make: func(rng *rand.Rand) Behavior {
+	return MixEntry{Weight: weight, Make: func(rng *Rand) Behavior {
 		n := 2 + rng.Intn(2)
 		bits := make([]int, n)
 		signs := make([]int, n)
@@ -62,7 +61,7 @@ func GCorrMix(weight float64, maxBit int, noise float64) MixEntry {
 // from [minBit, maxBit] (use >= 16 to exceed the baseline predictor's
 // reach). Branch direction is randomly inverted per branch.
 func CtxBiasMix(weight float64, minBit, maxBit int, hi, lo float64) MixEntry {
-	return MixEntry{Weight: weight, Extreme: true, Make: func(rng *rand.Rand) Behavior {
+	return MixEntry{Weight: weight, Extreme: true, Make: func(rng *Rand) Behavior {
 		pMaj, pMin := hi, lo
 		bits := make([]int, 0, 3)
 		for len(bits) < 3 {
@@ -92,14 +91,14 @@ func CtxBiasMix(weight float64, minBit, maxBit int, hi, lo float64) MixEntry {
 // per branch): the source of bursty, history-detectable
 // mispredictions.
 func PhaseMix(weight, hi, lo float64) MixEntry {
-	return MixEntry{Weight: weight, Extreme: true, Make: func(rng *rand.Rand) Behavior {
+	return MixEntry{Weight: weight, Extreme: true, Make: func(rng *Rand) Behavior {
 		return PhaseBiased{P1: hi, P0: lo}
 	}}
 }
 
 // RandomMix yields 50/50 unpredictable branches.
 func RandomMix(weight float64) MixEntry {
-	return MixEntry{Weight: weight, Make: func(rng *rand.Rand) Behavior {
+	return MixEntry{Weight: weight, Make: func(rng *Rand) Behavior {
 		return Random{}
 	}}
 }

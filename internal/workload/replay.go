@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"math/rand"
-
-	"bce/internal/trace"
-)
+import "bce/internal/trace"
 
 // Replay adapts a recorded trace (any trace.Source, typically a
 // trace.Reader over a .bcet file) for the timing pipeline: it loops
@@ -73,7 +69,7 @@ func (r *Replay) Err() error {
 // (with randomized branch directions); unseen targets fall back to a
 // synthetic instruction mix.
 func (r *Replay) WrongPath(seed int64) *Synthetic {
-	return &Synthetic{replay: r, rng: rand.New(rand.NewSource(seed))}
+	return &Synthetic{replay: r, rng: NewRand(seed)}
 }
 
 var _ trace.Source = (*Replay)(nil)
@@ -87,7 +83,7 @@ var _ trace.Source = (*Replay)(nil)
 // resource footprint matters.
 type Synthetic struct {
 	replay *Replay
-	rng    *rand.Rand
+	rng    *Rand
 	pos    int // cursor into replay.buf, -1 when synthesizing
 	pc     uint64
 	live   bool

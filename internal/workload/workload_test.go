@@ -198,7 +198,7 @@ func mustProfile(t testing.TB, name string) Profile {
 }
 
 func TestBehaviorClasses(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := NewRand(1)
 	var st BranchState
 
 	b := Biased{PTaken: 0.9}
@@ -332,7 +332,7 @@ func TestWrongPath(t *testing.T) {
 func newMemGen2(p MemProfile) *memGen { return newMemGen(p, 0) }
 
 func TestMemGenMixture(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
+	rng := NewRand(9)
 	g := newMemGen2(MemProfile{SeqFrac: 1})
 	a1 := g.next(rng)
 	a2 := g.next(rng)

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math/rand"
 	"sort"
 
 	"bce/internal/trace"
@@ -19,7 +18,7 @@ import (
 // trained.
 type WrongPath struct {
 	prog *Program
-	rng  *rand.Rand
+	rng  Rand
 	mem  *memGen
 	cur  int
 	pos  int
@@ -31,11 +30,15 @@ type WrongPath struct {
 // its program.
 func NewWrongPath(g *Generator) *WrongPath {
 	p := g.prog.prof
-	return &WrongPath{
-		prog: g.prog,
-		rng:  rand.New(rand.NewSource((p.Seed ^ 0x5DEECE66D) + int64(g.segment)*0x2545F491)),
-		mem:  newMemGen(p.Mem, 1),
-	}
+	w := &WrongPath{prog: g.prog, mem: newMemGen(p.Mem, 1)}
+	w.rng.Seed(wrongPathSeed(p.Seed, g.segment))
+	return w
+}
+
+// wrongPathSeed derives the wrong path's seed from the profile's seed
+// and the segment, apart from the correct path's (runtimeSeed).
+func wrongPathSeed(seed int64, segment int) int64 {
+	return (seed ^ 0x5DEECE66D) + int64(segment)*0x2545F491
 }
 
 // Restart points the wrong path at the given fetch target. Targets
@@ -72,7 +75,7 @@ func (w *WrongPath) Next() (trace.Uop, bool) {
 		w.pos++
 		var addr uint64
 		if o.Kind.IsMem() {
-			addr = w.mem.next(w.rng)
+			addr = w.mem.next(&w.rng)
 		}
 		// Returned directly, for the reason given in Generator.Next.
 		return trace.Uop{PC: b.pc + 4*uint64(pos), Addr: addr, Kind: o.Kind, Dst: o.Dst, Src1: o.Src1, Src2: o.Src2}, true

@@ -27,12 +27,15 @@ var update = flag.Bool("update", false, "rewrite testdata/golden_digests.txt")
 const goldenFile = "golden_digests.txt"
 
 // goldenCase is one pinned simulation: a fresh Sim over bench, run for
-// warm then measure uops.
+// warm then measure uops. With spans > 1 the measured uops are split
+// into that many equal Run calls, and every span's statistics are
+// hashed, which pins where one Run ends and the next begins.
 type goldenCase struct {
 	name          string
 	bench         string
 	opt           func() Options
 	warm, measure uint64
+	spans         uint64
 }
 
 // goldenCases is the byte-identity matrix: every benchmark under the
@@ -91,6 +94,18 @@ func goldenCases(t *testing.T) []goldenCase {
 			return opt
 		})
 	}
+	// Gating with a 9-cycle estimator latency (§5.4.2): fetched
+	// low-confidence branches wait as pending arms before they count.
+	for _, b := range []string{"gzip", "mcf", "twolf"} {
+		add("cic0-pl1-lat9", b, 5000, 20000, func() Options {
+			return Options{Estimator: confidence.NewCIC(0), Gating: gating.Policy{Threshold: 1, Latency: 9}}
+		})
+	}
+	// A long memory-bound run: many wheel turns and far-list moves.
+	add("base-200k", "mcf", 5000, 200_000, func() Options { return Options{} })
+	// One measurement as 40 Run calls of 500 uops.
+	cs = append(cs, goldenCase{name: "cic0-pl1-40x500/mcf", bench: "mcf", warm: 5000, measure: 20000, spans: 40,
+		opt: func() Options { return Options{Estimator: confidence.NewCIC(0), Gating: gating.PL(1)} }})
 	return cs
 }
 
@@ -108,13 +123,16 @@ func farHierarchy() *cache.Hierarchy {
 func (c goldenCase) digest(t *testing.T) string {
 	s := New(c.opt(), gen(t, c.bench))
 	s.Run(c.warm)
-	r := s.Run(c.measure)
-	b, err := r.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
+	spans := max(c.spans, 1)
 	h := sha256.New()
-	h.Write(b)
+	for range spans {
+		r := s.Run(c.measure / spans)
+		b, err := r.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(b)
+	}
 	l1h, l1m := s.Hierarchy().L1().Stats()
 	l2h, l2m := s.Hierarchy().L2().Stats()
 	for _, v := range []uint64{l1h, l1m, l2h, l2m, s.Cycle()} {

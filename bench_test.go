@@ -10,9 +10,20 @@ import "testing"
 // Each iteration simulates a fixed span, so the uops/s metric means the
 // same at any -benchtime, including 1x.
 func BenchmarkSimulatorThroughput(b *testing.B) {
+	benchmarkSimulator(b, SimConfig{Bench: "gzip", Estimator: NewCIC(0), Gating: PL(1)})
+}
+
+// BenchmarkSimulatorMemoryBound measures the simulator on mcf with no
+// estimator, where most cycles wait on memory and Run jumps the clock
+// over them.
+func BenchmarkSimulatorMemoryBound(b *testing.B) {
+	benchmarkSimulator(b, SimConfig{Bench: "mcf"})
+}
+
+func benchmarkSimulator(b *testing.B, cfg SimConfig) {
 	const span = 100_000
 	b.ReportAllocs()
-	sim := NewSimulation(SimConfig{Bench: "gzip", Estimator: NewCIC(0), Gating: PL(1)})
+	sim := NewSimulation(cfg)
 	sim.Run(20_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -146,6 +146,44 @@ func (c *Controller) Stalled(cycle uint64) bool {
 	return on
 }
 
+// WouldStall reports whether Stalled(cycle) would stall fetch, without
+// arming pending branches, counting a stalled cycle or emitting a
+// transition: a read-only query for diagnostics.
+func (c *Controller) WouldStall(cycle uint64) bool {
+	if !c.Enabled() {
+		return false
+	}
+	n := c.count
+	for _, p := range c.pending {
+		if p.armAt <= cycle {
+			n++
+		}
+	}
+	return n >= c.policy.Threshold
+}
+
+// Steady reports whether every coming Stalled call returns the same
+// answer, holding, and changes nothing but the stalled-cycle count,
+// until the next OnFetch or OnResolve: no arm is pending and no
+// gate-on or gate-off transition is due.
+func (c *Controller) Steady() (steady, holding bool) {
+	if !c.Enabled() {
+		return true, false
+	}
+	return len(c.pending) == 0 && (c.count >= c.policy.Threshold) == c.wasOn, c.wasOn
+}
+
+// Skip accounts for n consecutive Stalled calls made in a steady state
+// (see Steady) exactly as making them would: each counts a stalled
+// cycle when the gate holds.
+func (c *Controller) Skip(n uint64) {
+	if steady, holding := c.Steady(); !steady {
+		panic("gating: Skip while an arm is pending or a transition is due")
+	} else if holding {
+		c.stalls += n
+	}
+}
+
 // Count returns the current armed low-confidence branch count.
 func (c *Controller) Count() int { return c.count }
 

@@ -3,6 +3,8 @@ package gating
 import (
 	"testing"
 	"testing/quick"
+
+	"bce/internal/telemetry"
 )
 
 func TestDisabled(t *testing.T) {
@@ -148,5 +150,85 @@ func TestCounterQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// recordingSink keeps every event it receives.
+type recordingSink struct{ evs []telemetry.Event }
+
+func (r *recordingSink) Emit(e telemetry.Event) { r.evs = append(r.evs, e) }
+
+// WouldStall answers what Stalled would, and changes nothing: no arm,
+// no stalled cycle, no episode, no event.
+func TestWouldStallReadOnly(t *testing.T) {
+	sink := &recordingSink{}
+	c := NewController(Policy{Threshold: 1, Latency: 9})
+	c.SetTelemetry(sink, nil)
+	c.OnFetch(1, 100)
+	if c.WouldStall(108) {
+		t.Fatal("WouldStall before the arm is due")
+	}
+	if !c.WouldStall(109) {
+		t.Fatal("WouldStall false once the arm is due")
+	}
+	if c.Count() != 0 || len(c.pending) != 1 || len(sink.evs) != 0 {
+		t.Fatalf("WouldStall changed state: count %d, pending %d, %d events", c.Count(), len(c.pending), len(sink.evs))
+	}
+	if cy, ep := c.Stats(); cy != 0 || ep != 0 {
+		t.Fatalf("WouldStall counted %d cycles, %d episodes", cy, ep)
+	}
+	if !c.Stalled(109) || c.Count() != 1 || len(sink.evs) != 1 {
+		t.Fatal("Stalled disagrees with WouldStall")
+	}
+	if NewController(Disabled()).WouldStall(0) {
+		t.Fatal("disabled controller would stall")
+	}
+}
+
+// Steady holds exactly when no arm is pending and no transition is
+// due; Skip(n) then counts what n Stalled calls would.
+func TestSteadySkip(t *testing.T) {
+	if steady, holding := NewController(Disabled()).Steady(); !steady || holding {
+		t.Fatal("disabled controller not steady and released")
+	}
+	for _, lat := range []int{0, 9} {
+		c := NewController(Policy{Threshold: 1, Latency: lat})
+		ref := NewController(Policy{Threshold: 1, Latency: lat})
+		if steady, holding := c.Steady(); !steady || holding {
+			t.Fatalf("lat %d: fresh controller not steady and released", lat)
+		}
+		c.OnFetch(1, 0)
+		ref.OnFetch(1, 0)
+		if steady, _ := c.Steady(); steady {
+			t.Fatalf("lat %d: steady with an arm pending or a gate-on due", lat)
+		}
+		for cycle := uint64(0); cycle <= uint64(lat); cycle++ {
+			c.Stalled(cycle)
+			ref.Stalled(cycle)
+		}
+		if steady, holding := c.Steady(); !steady || !holding {
+			t.Fatalf("lat %d: armed gate not steady and holding", lat)
+		}
+		c.Skip(20)
+		for cycle := uint64(lat + 1); cycle <= uint64(lat+20); cycle++ {
+			ref.Stalled(cycle)
+		}
+		cy, ep := c.Stats()
+		rcy, rep := ref.Stats()
+		if cy != rcy || ep != rep {
+			t.Fatalf("lat %d: Skip counted %d cycles, %d episodes; Stalled calls %d, %d", lat, cy, ep, rcy, rep)
+		}
+		c.OnResolve(1)
+		if steady, _ := c.Steady(); steady {
+			t.Fatalf("lat %d: steady with a gate-off due", lat)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("lat %d: Skip with a transition due did not panic", lat)
+				}
+			}()
+			c.Skip(1)
+		}()
 	}
 }

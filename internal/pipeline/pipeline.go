@@ -1,9 +1,15 @@
-// Package pipeline implements the cycle-driven out-of-order superscalar
-// timing model the paper's experiments run on (§4, Table 1): a deep
-// front end feeding a renamed ROB with per-class scheduling windows and
-// execution units, a trace cache, load/store buffers, a data-cache
-// hierarchy, speculative wrong-path execution with squash/recovery, and
-// the pipeline-gating + branch-reversal machinery under study.
+// Package pipeline implements the cycle-accurate out-of-order
+// superscalar timing model the paper's experiments run on (§4, Table
+// 1): a deep front end feeding a renamed ROB with per-class scheduling
+// windows and execution units, a trace cache, load/store buffers, a
+// data-cache hierarchy, speculative wrong-path execution with
+// squash/recovery, and the pipeline-gating + branch-reversal machinery
+// under study.
+//
+// The clock advances by events: Run steps every cycle in which some
+// stage can act and jumps over the idle cycles between them (the
+// machine waiting on memory behind a full fetch queue, a redirect
+// bubble), with results identical to ticking every cycle.
 //
 // The model is trace-driven: the workload generator supplies the
 // correct path, and a WrongPath synthesizer supplies the uops fetched
@@ -348,6 +354,11 @@ func (s *Sim) release(idx int32) {
 // statistics for exactly that span. Call once with a warmup count
 // (discard the result), then with the measurement count.
 //
+// Run steps only the cycles in which some stage can act (see
+// nextEvent) and moves the clock straight over the idle ones, counting
+// them in the span's cycles and, where the gate holds fetch, in its
+// gated cycles, exactly as ticking through them would.
+//
 // Run is guarded by the forward-progress watchdog: if no uop retires
 // for Options.WatchdogInterval cycles, it panics with a structured
 // *WatchdogError describing the wedged machine state (the diagnostic
@@ -364,6 +375,17 @@ func (s *Sim) Run(n uint64) metrics.Run {
 		wd = DefaultWatchdogInterval
 	}
 	for retired.Value() < n {
+		// Jump over idle cycles. The skip precedes the step, so a span
+		// ends right after its n-th retirement and the idle cycles that
+		// follow belong to the next Run, as when the clock ticked them;
+		// it stops at the watchdog's deadline, so an abort fires at the
+		// cycle it always did.
+		if t := s.nextEvent(s.lastRetireAt + wd); t > s.cycle {
+			if from := max(s.cycle, s.stallUntil); t > from {
+				s.gate.Skip(t - from)
+			}
+			s.cycle = t
+		}
 		s.step()
 		if s.cycle-s.lastRetireAt > wd {
 			err := s.watchdogError(wd)
@@ -387,4 +409,55 @@ func (s *Sim) step() {
 	s.dispatch()
 	s.fetch()
 	s.cycle++
+}
+
+// nextEvent returns the first cycle, from the current one up to limit,
+// in which some stage can act; it returns the current cycle when that
+// one is not idle. In every cycle before it nothing retires, completes,
+// issues or dispatches, and fetch waits out a redirect or trace-cache
+// bubble, a full fetch queue or a steady gate, so stepping those cycles
+// would only advance the clock and count gated cycles. Idle cycles
+// emit no telemetry.
+//
+// The tests are ordered cheapest first, so a busy machine leaves after
+// a few loads.
+func (s *Sim) nextEvent(limit uint64) uint64 {
+	c := s.cycle
+	if s.readyQ[clInt].n|s.readyQ[clMem].n|s.readyQ[clFP].n != 0 || s.wheel[c&wheelMask] >= 0 {
+		return c
+	}
+	if s.far >= 0 {
+		if c&wheelMask == 0 {
+			return c // a wheel turn is due
+		}
+		limit = min(limit, (c|wheelMask)+1)
+	}
+	if s.rob.len() > 0 && s.pool[s.rob.at(0)].state == sDone {
+		return c
+	}
+	// Fetch waits until stallUntil, and past it only while a steady
+	// gate holds or the fetch queue stays full.
+	if steady, holding := s.gate.Steady(); !steady || !holding && !s.fetchQ.full() {
+		if c >= s.stallUntil {
+			return c
+		}
+		limit = min(limit, s.stallUntil)
+	}
+	if s.fetchQ.len() > 0 {
+		e := &s.pool[s.fetchQ.at(0)]
+		if !s.dispatchBlocked(e) {
+			return c
+		}
+		if e.dispatchAt > c {
+			limit = min(limit, e.dispatchAt)
+		}
+	}
+	// Every wheel uop completes within a turn of now, in the bucket of
+	// its cycle; one pass over the buckets finds the earliest.
+	for t := c + 1; t < limit && t-c < wheelSize; t++ {
+		if s.wheel[t&wheelMask] >= 0 {
+			return t
+		}
+	}
+	return limit
 }

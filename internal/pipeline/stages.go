@@ -416,23 +416,10 @@ func (s *Sim) dispatch() {
 	for n := 0; n < m.DispatchWidth && s.fetchQ.len() > 0; n++ {
 		idx := s.fetchQ.at(0)
 		e := &s.pool[idx]
-		if e.dispatchAt > s.cycle || s.rob.full() {
+		if s.dispatchBlocked(e) {
 			return
 		}
 		cl := e.class
-		if s.windowUsed[cl] >= s.windowCap[cl] {
-			return
-		}
-		switch e.u.Kind {
-		case trace.Load:
-			if s.loadsUsed >= m.LoadBufs {
-				return
-			}
-		case trace.Store:
-			if s.storesUsed >= m.StoreBufs {
-				return
-			}
-		}
 		s.fetchQ.pop()
 		s.rob.push(idx)
 		s.windowUsed[cl]++
@@ -462,6 +449,22 @@ func (s *Sim) dispatch() {
 			s.readyQ[cl].insert(schedRef{idx: idx, seq: e.seq})
 		}
 	}
+}
+
+// dispatchBlocked reports whether the fetch-queue head e cannot
+// dispatch this cycle: it is still in the front end, or the ROB, its
+// class's window or its load or store buffer is full.
+func (s *Sim) dispatchBlocked(e *inflight) bool {
+	if e.dispatchAt > s.cycle || s.rob.full() || s.windowUsed[e.class] >= s.windowCap[e.class] {
+		return true
+	}
+	switch e.u.Kind {
+	case trace.Load:
+		return s.loadsUsed >= s.opt.Machine.LoadBufs
+	case trace.Store:
+		return s.storesUsed >= s.opt.Machine.StoreBufs
+	}
+	return false
 }
 
 // linkSource renames source slot of the uop at idx, which reads

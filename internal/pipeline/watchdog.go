@@ -90,7 +90,7 @@ func (s *Sim) watchdogError(interval uint64) *WatchdogError {
 		FetchQ:        s.fetchQ.len(),
 		FreeSlots:     len(s.free),
 		LastSquashSeq: s.divergeSeq,
-		GateStalled:   s.gate.Stalled(s.cycle),
+		GateStalled:   s.gate.WouldStall(s.cycle),
 		StallUntil:    s.stallUntil,
 	}
 	for cl := range s.readyQ {

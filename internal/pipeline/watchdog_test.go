@@ -54,8 +54,10 @@ func TestWatchdogTripsOnHang(t *testing.T) {
 	if wde.Interval != 5_000 {
 		t.Errorf("Interval = %d, want 5000", wde.Interval)
 	}
-	if wde.Cycle-wde.LastRetire <= wde.Interval {
-		t.Errorf("cycle %d - last retire %d not past interval %d",
+	// The watchdog fires right after the first cycle past its patience,
+	// however the clock got there.
+	if wde.Cycle != wde.LastRetire+wde.Interval+1 {
+		t.Errorf("aborted at cycle %d, want last retire %d + interval %d + 1",
 			wde.Cycle, wde.LastRetire, wde.Interval)
 	}
 	if wde.Head == nil {
@@ -112,6 +114,31 @@ func TestWatchdogErrorEmptyROB(t *testing.T) {
 	}
 	if !strings.Contains(e.Error(), "rob empty") {
 		t.Errorf("Error() = %q missing empty-ROB note", e.Error())
+	}
+}
+
+// Building the diagnostic must not disturb the machine it describes:
+// reading whether the gate holds fetch arms no pending branch, counts
+// no stalled cycle and emits no gate event.
+func TestWatchdogErrorReadOnly(t *testing.T) {
+	sink := &telemetry.CountingSink{}
+	s := New(Options{Gating: gating.Policy{Threshold: 1, Latency: 9}, Sink: sink}, gen(t, "gzip"))
+	s.gate.OnFetch(1, 0)
+	s.cycle = 100
+	cycles, episodes := s.gate.Stats()
+	events := sink.Total()
+	e := s.watchdogError(50)
+	if !e.GateStalled {
+		t.Error("GateStalled false with an arm due that reaches the threshold")
+	}
+	if c, ep := s.gate.Stats(); c != cycles || ep != episodes {
+		t.Errorf("gate stats moved from %d/%d to %d/%d", cycles, episodes, c, ep)
+	}
+	if s.gate.Count() != 0 {
+		t.Errorf("diagnostic armed the pending branch: count %d", s.gate.Count())
+	}
+	if sink.Total() != events {
+		t.Errorf("diagnostic emitted %d events", sink.Total()-events)
 	}
 }
 

@@ -36,6 +36,10 @@ type Config struct {
 
 // New returns a cache. Size, associativity and line size must be
 // positive, and SizeBytes must be divisible into at least one set.
+// The set count SizeBytes/(Assoc*LineBytes) rounds down to a power of
+// two, so other sizes build a smaller cache than asked for: 48 KiB,
+// 8-way, with 64-byte lines gives 96 sets and is built with 64 (32
+// KiB). Sets and Assoc report the geometry built.
 func New(cfg Config) *Cache {
 	if cfg.SizeBytes <= 0 || cfg.Assoc <= 0 || cfg.LineBytes <= 0 {
 		panic(fmt.Sprintf("cache: non-positive geometry %+v", cfg))

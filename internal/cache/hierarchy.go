@@ -11,25 +11,55 @@ import (
 // demand misses, learns per-stream line strides (ascending,
 // descending, or multi-line strides from >64-byte walks), and fills
 // ahead into the L2.
+//
+// Each miss does the same as three scans over the streams would (find
+// a trained stream expecting the line, else a training stream within
+// maxStride lines, else take over the first unused or least recently
+// used stream), but in near-constant work: two counting filters rule
+// out the first two scans for most misses, and a recency list names
+// the victim.
 type Prefetcher struct {
-	streams []stream
-	depth   int
-	maxStr  int64
-	issued  uint64
-	useful  uint64 // advanced-stream hits (stream reuse)
-	clock   uint64 // LRU allocation clock
-	// buf is the reused prefetch-line scratch returned by Miss; the
-	// caller consumes it before the next call, so the steady-state
+	// Per-stream state, indexed by stream. Streams are taken into use
+	// in index order and never given up, so streams [0, used) are live.
+	next  []uint64 // next expected line when trained; noNext while training
+	last  []uint64 // last miss line
+	delta []int64  // learned line stride; 0 while training
+	used  int
+
+	// The recency list links every stream, most recently used at head.
+	// Unused streams start at the tail in index order, so the tail is
+	// the first unused stream while one is left, else the least
+	// recently used one.
+	newer, older []int32
+	head, tail   int32
+
+	// advances[b] counts the trained streams with next&filterMask == b,
+	// trains[b] the training streams with last>>trainShift&filterMask
+	// == b. A zero count skips the matching scan.
+	advances [filterSize]uint32
+	trains   [filterSize]uint32
+
+	issued   uint64
+	triggers uint64 // misses that advanced or trained a stream
+	// buf holds the depth prefetch lines Miss returns. It is reused:
+	// the caller consumes it before the next call, so the steady-state
 	// access path allocates nothing.
 	buf []uint64
 }
 
-type stream struct {
-	last    uint64 // last miss line
-	delta   int64  // learned line stride; 0 while training
-	lastUse uint64
-	valid   bool
-}
+const (
+	// maxStride is the longest line stride a stream learns, either way.
+	maxStride = 8
+	// noNext is a training stream's next line. A trained stream's next
+	// line can take the same value, so an advance also checks delta.
+	noNext = ^uint64(0)
+
+	filterSize = 256
+	filterMask = filterSize - 1
+	// trainShift makes a trains bucket 16 lines wide, so the lines
+	// within maxStride of a miss fall in at most two buckets.
+	trainShift = 4
+)
 
 // NewPrefetcher returns a prefetcher tracking `streams` concurrent
 // streams and prefetching `depth` strides ahead on each stream
@@ -38,74 +68,108 @@ func NewPrefetcher(streams, depth int) *Prefetcher {
 	if streams < 1 || depth < 1 {
 		panic(fmt.Sprintf("cache: prefetcher needs positive streams/depth, got %d/%d", streams, depth))
 	}
-	return &Prefetcher{
-		streams: make([]stream, streams),
-		depth:   depth,
-		maxStr:  8,
-		buf:     make([]uint64, 0, depth),
+	p := &Prefetcher{
+		next:  make([]uint64, streams),
+		last:  make([]uint64, streams),
+		delta: make([]int64, streams),
+		newer: make([]int32, streams),
+		older: make([]int32, streams),
+		head:  int32(streams - 1),
+		buf:   make([]uint64, depth),
 	}
+	for i := range p.newer {
+		p.newer[i] = int32(i) + 1
+		p.older[i] = int32(i) - 1
+	}
+	p.newer[streams-1] = -1
+	return p
 }
 
 // Stats returns the number of prefetch fills issued and the number of
-// stream advances (misses that matched a live stream).
-func (p *Prefetcher) Stats() (issued, advances uint64) { return p.issued, p.useful }
+// misses that issued them: misses that advanced a trained stream plus
+// misses that taught a training stream its stride.
+func (p *Prefetcher) Stats() (issued, triggers uint64) { return p.issued, p.triggers }
 
-func (p *Prefetcher) ahead(s *stream) []uint64 {
-	out := p.buf[:0]
-	l := int64(s.last)
-	for d := 1; d <= p.depth; d++ {
-		out = append(out, uint64(l+s.delta*int64(d)))
+// advance moves stream i, trained, to line: it counts the stream's
+// next expected line, makes it the most recently used and returns the
+// depth lines past line along its stride.
+func (p *Prefetcher) advance(i int, line uint64) []uint64 {
+	d := uint64(p.delta[i])
+	p.last[i] = line
+	p.next[i] = line + d
+	p.advances[(line+d)&filterMask]++
+	p.touch(int32(i))
+	out := p.buf
+	for k := range out {
+		line += d
+		out[k] = line
 	}
 	p.issued += uint64(len(out))
-	p.useful++
+	p.triggers++
 	return out
 }
+
+// touch makes stream i the most recently used.
+func (p *Prefetcher) touch(i int32) {
+	if i == p.head {
+		return
+	}
+	nw, od := p.newer[i], p.older[i]
+	p.older[nw] = od
+	if od >= 0 {
+		p.newer[od] = nw
+	} else {
+		p.tail = nw
+	}
+	p.newer[i] = -1
+	p.older[i] = p.head
+	p.newer[p.head] = i
+	p.head = i
+}
+
+// trainBucket is the trains bucket of a training stream's last line.
+func trainBucket(line uint64) int { return int(line >> trainShift & filterMask) }
 
 // Miss notifies the prefetcher of a demand miss at line-granular
 // address `line` and returns the lines to prefetch (possibly nil).
 // The returned slice is reused by the next call; consume it before
 // calling Miss again.
 func (p *Prefetcher) Miss(line uint64) []uint64 {
-	p.clock++
 	// A trained stream advances when the miss lands on its next
-	// expected line.
-	for i := range p.streams {
-		s := &p.streams[i]
-		if s.valid && s.delta != 0 && line == uint64(int64(s.last)+s.delta) {
-			s.last = line
-			s.lastUse = p.clock
-			return p.ahead(s)
+	// expected line; the lowest-numbered such stream wins.
+	if p.advances[line&filterMask] != 0 {
+		for i, n := range p.next[:p.used] {
+			if n == line && p.delta[i] != 0 {
+				p.advances[line&filterMask]--
+				return p.advance(i, line)
+			}
 		}
 	}
 	// A training stream learns its stride from the second nearby miss.
-	for i := range p.streams {
-		s := &p.streams[i]
-		if !s.valid || s.delta != 0 {
-			continue
-		}
-		d := int64(line) - int64(s.last)
-		if d != 0 && d >= -p.maxStr && d <= p.maxStr {
-			s.delta = d
-			s.last = line
-			s.lastUse = p.clock
-			return p.ahead(s)
+	// Differences wrap like the lines do, so a stream near line 0 and
+	// one near the top of the line space are neighbours.
+	if p.trains[trainBucket(line-maxStride)]|p.trains[trainBucket(line+maxStride)] != 0 {
+		for i, l := range p.last[:p.used] {
+			if d := int64(line - l); p.delta[i] == 0 && d != 0 && d >= -maxStride && d <= maxStride {
+				p.trains[trainBucket(l)]--
+				p.delta[i] = d
+				return p.advance(i, line)
+			}
 		}
 	}
-	// Allocate a fresh training stream over the LRU victim.
-	victim := 0
-	var oldest uint64 = ^uint64(0)
-	for i := range p.streams {
-		s := &p.streams[i]
-		if !s.valid {
-			victim = i
-			break
-		}
-		if s.lastUse < oldest {
-			oldest = s.lastUse
-			victim = i
-		}
+	// Allocate a fresh training stream over the recency victim.
+	v := p.tail
+	switch {
+	case int(v) == p.used:
+		p.used++
+	case p.delta[v] != 0:
+		p.advances[p.next[v]&filterMask]--
+	default:
+		p.trains[trainBucket(p.last[v])]--
 	}
-	p.streams[victim] = stream{last: line, lastUse: p.clock, valid: true}
+	p.next[v], p.last[v], p.delta[v] = noNext, line, 0
+	p.trains[trainBucket(line)]++
+	p.touch(v)
 	return nil
 }
 

@@ -42,6 +42,23 @@ func randomTrials(t *testing.T, seed int64, n int, fn func(trial int, m config.M
 	}
 }
 
+// TestTraceCacheGeometry pins the trace cache every machine builds.
+// Table 1 gives 12K uops, 8-way. At 4 bytes a uop in 64-byte (16-uop)
+// lines that is 96 sets, which cache.New rounds down to 64, so the
+// modelled trace cache holds 8K uops. Building the full 12K changes the
+// model and needs a recalibration check.
+func TestTraceCacheGeometry(t *testing.T) {
+	for _, m := range []config.Machine{config.Baseline40x4(), config.Mid20x4(), config.Wide20x8()} {
+		if m.TraceCacheUops != 12*1024 || m.TraceCacheAssoc != 8 {
+			t.Errorf("%s: configured trace cache %d uops %d-way, want 12K 8-way", m.Name, m.TraceCacheUops, m.TraceCacheAssoc)
+		}
+		s := New(Options{Machine: m}, gen(t, "gzip"))
+		if sets, uops := s.tc.Sets(), s.tc.Sets()*s.tc.Assoc()*16; sets != 64 || uops != 8*1024 {
+			t.Errorf("%s: trace cache built with %d sets, %d uops; want 64 sets, 8K uops", m.Name, sets, uops)
+		}
+	}
+}
+
 // TestPerfectRunHasNoWrongPath is a property over random machines:
 // oracle prediction never mispredicts, so no machine shape ever fetches
 // or executes a wrong-path uop.

@@ -41,12 +41,11 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "serve pprof + expvar on this address (e.g. localhost:6060); Prometheus text format on /metrics")
 		manifestTo = flag.String("manifest", "", "write a run manifest (provenance + per-benchmark rates) to this file")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		logFormat  = flag.String("log-format", "text", "log output format: text or json")
 		profDir    = prof.RegisterFlags()
 		version    = flag.Bool("version", false, "print the bce_build_info identity line and exit")
 	)
 	flag.Parse()
-	logger, err := telemetry.InitLogging(*logLevel, *logFormat)
+	logger, err := telemetry.InitLogging(*logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bcecal:", err)
 		os.Exit(2)

@@ -46,11 +46,10 @@ func main() {
 		profDir    = prof.RegisterFlags()
 		profileTop = flag.Int("profile-top", 10, "symbols per profile in the -compare attribution table")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		logFormat  = flag.String("log-format", "text", "log output format: text or json")
 		version    = flag.Bool("version", false, "print the bce_build_info identity line and exit")
 	)
 	flag.Parse()
-	logger, err := telemetry.InitLogging(*logLevel, *logFormat)
+	logger, err := telemetry.InitLogging(*logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bcereport:", err)
 		os.Exit(2)

@@ -64,13 +64,12 @@ func main() {
 		stats     = flag.Bool("stats", false, "print the telemetry counter/histogram registry after the run")
 		debugAddr = flag.String("debug-addr", "", "serve pprof + expvar + live sweep stats on this address (e.g. localhost:6060)")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		logFormat = flag.String("log-format", "text", "log output format: text or json")
 		profDir   = prof.RegisterFlags()
 		version   = flag.Bool("version", false, "print the bce_build_info identity line and exit")
 	)
 	flag.Parse()
 
-	logger, err := telemetry.InitLogging(*logLevel, *logFormat)
+	logger, err := telemetry.InitLogging(*logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bcesim:", err)
 		os.Exit(2)

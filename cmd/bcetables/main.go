@@ -81,15 +81,13 @@ func main() {
 		manifestTo = flag.String("manifest", "", "write a run manifest (provenance + per-job results) to this file")
 		remote     = flag.String("workers-remote", "", "comma-separated bceworker base URLs (e.g. http://127.0.0.1:8371); shard the sweep's timing simulations across them, then aggregate locally — output is byte-identical to a single-process run")
 		distBatch  = flag.Int("dist-batch", 0, "jobs per batch request to remote workers (0 = default)")
-		traceSpans = flag.String("trace-spans", "", "write the distributed sweep's merged cross-process span timeline (Chrome trace_event JSON, needs -workers-remote) to this file")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		logFormat  = flag.String("log-format", "text", "log output format: text or json")
 		profDir    = prof.RegisterFlags()
 		version    = flag.Bool("version", false, "print the bce_build_info identity line and exit")
 	)
 	flag.Parse()
 
-	logger, err := telemetry.InitLogging(*logLevel, *logFormat)
+	logger, err := telemetry.InitLogging(*logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bcetables:", err)
 		os.Exit(2)
@@ -112,11 +110,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProf()
-
-	if *traceSpans != "" && *remote == "" {
-		fmt.Fprintln(os.Stderr, "bcetables: -trace-spans needs -workers-remote (spans trace the distributed sweep)")
-		os.Exit(2)
-	}
 
 	if *debugAddr != "" {
 		srv, err := telemetry.StartDebug(*debugAddr, map[string]func() any{
@@ -222,7 +215,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bcetables: -workers-remote lists no worker URLs")
 			os.Exit(2)
 		}
-		if err := distribute(ctx, urls, *exp, *bench, *csv, sz, mb, *distBatch, *jobTimeout, *traceSpans); err != nil {
+		if err := distribute(ctx, urls, *exp, *bench, *csv, sz, mb, *distBatch, *jobTimeout); err != nil {
 			fail(err)
 		}
 	}
@@ -281,19 +274,13 @@ func splitList(s string) []string {
 // per-job budget and is not forwarded: the coordinator keeps its own
 // default for in-place batch retries.
 func distribute(ctx context.Context, urls []string, exp, bench string, csv bool,
-	sz core.Sizes, mb *manifest.Builder, batch int, jobTimeout time.Duration,
-	traceSpans string) error {
+	sz core.Sizes, mb *manifest.Builder, batch int, jobTimeout time.Duration) error {
 	log := slog.Default().With("component", "coordinator")
-	var tracer *telemetry.Tracer
-	if traceSpans != "" {
-		tracer = telemetry.NewTracer("coordinator")
-	}
 	coord, err := dist.NewCoordinator(dist.Options{
 		Workers:    urls,
 		BatchSize:  batch,
 		JobTimeout: jobTimeout,
 		Logger:     log,
-		Tracer:     tracer,
 		OnResult: func(worker string, job dist.Job, run metrics.Run) {
 			core.InjectResult(job.Key, run)
 			if mb != nil {
@@ -326,37 +313,12 @@ func distribute(ctx context.Context, urls []string, exp, bench string, csv bool,
 		return nil
 	}
 	start := time.Now()
-	runErr := coord.Run(ctx, plan.Jobs, plan.Keys)
-	if tracer != nil {
-		// Write whatever spans were collected even on failure — a partial
-		// timeline is exactly what debugs a failed sweep.
-		if werr := writeSpanFile(traceSpans, tracer); werr != nil {
-			log.Warn("span trace not written", "path", traceSpans, "err", werr)
-		} else {
-			started, ended := tracer.Counts()
-			log.Info("span trace written", "path", traceSpans, "spans", ended, "started", started)
-		}
-	}
-	if runErr != nil {
-		return runErr
+	if err := coord.Run(ctx, plan.Jobs, plan.Keys); err != nil {
+		return err
 	}
 	log.Info("remote simulations merged",
 		"jobs", len(plan.Jobs), "elapsed", time.Since(start).Round(100*time.Millisecond).String())
 	return nil
-}
-
-// writeSpanFile drains the tracer and writes the merged cross-process
-// Chrome trace (coordinator + worker spans in one timeline).
-func writeSpanFile(path string, tracer *telemetry.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WriteSpanTrace(f, tracer.Drain()); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // experiment is one regenerable result of the evaluation: the name

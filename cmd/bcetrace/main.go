@@ -27,9 +27,9 @@ import (
 func main() {
 	args := os.Args[1:]
 	// Global options, before the subcommand: -debug-addr <addr>,
-	// -log-level <level>, -log-format <format>, -profile-dir <dir>, and
-	// the zero-operand -version.
-	debugAddr, logLevel, logFormat := "", "info", "text"
+	// -log-level <level>, -profile-dir <dir>, and the zero-operand
+	// -version.
+	debugAddr, logLevel := "", "info"
 	profileDir, version := "", false
 globals:
 	for len(args) >= 1 {
@@ -46,8 +46,6 @@ globals:
 			debugAddr = args[1]
 		case "-log-level":
 			logLevel = args[1]
-		case "-log-format":
-			logFormat = args[1]
 		case "-profile-dir":
 			profileDir = args[1]
 		default:
@@ -55,7 +53,7 @@ globals:
 		}
 		args = args[2:]
 	}
-	logger, err := telemetry.InitLogging(logLevel, logFormat)
+	logger, err := telemetry.InitLogging(logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bcetrace:", err)
 		os.Exit(2)
@@ -110,8 +108,8 @@ globals:
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  bcetrace [-debug-addr <addr>] [-log-level <level>] [-log-format <fmt>]
-           [-profile-dir <dir>] [-version] <command>
+  bcetrace [-debug-addr <addr>] [-log-level <level>] [-profile-dir <dir>]
+           [-version] <command>
   bcetrace gen  -bench <name> -n <uops> -o <file>   generate a trace
   bcetrace dump -i <file> [-n <uops>] [-skip <uops>] print uops
   bcetrace stat -i <file>                            summarize a trace`)

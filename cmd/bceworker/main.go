@@ -46,13 +46,12 @@ func main() {
 		cacheDir  = flag.String("cache", "", "directory for this worker's on-disk timing-result cache (empty = in-memory only)")
 		debugAddr = flag.String("debug-addr", "", "serve pprof + expvar + live stats on this address; Prometheus text format on /metrics")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		logFormat = flag.String("log-format", "text", "log output format: text or json")
 		profDir   = prof.RegisterFlags()
 		version   = flag.Bool("version", false, "print the bce_build_info identity line and exit")
 	)
 	flag.Parse()
 
-	logger, err := telemetry.InitLogging(*logLevel, *logFormat)
+	logger, err := telemetry.InitLogging(*logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bceworker:", err)
 		os.Exit(2)
@@ -132,7 +131,7 @@ func main() {
 
 	logger.Info("serving", "url", "http://"+ln.Addr().String(), "schema", dist.SchemaVersion)
 	// The plain-print line below keeps the startup address greppable in
-	// smoke scripts regardless of -log-format.
+	// smoke scripts independent of the log record layout.
 	fmt.Fprintf(os.Stderr, "bceworker: %q serving on http://%s (schema v%d)\n",
 		*name, ln.Addr(), dist.SchemaVersion)
 	err = srv.Serve(ln)

@@ -14,7 +14,6 @@ import (
 	"bce/internal/core"
 	"bce/internal/metrics"
 	"bce/internal/runner"
-	"bce/internal/telemetry"
 )
 
 // Options configures a Coordinator.
@@ -49,13 +48,8 @@ type Options struct {
 	OnResult func(worker string, job Job, run metrics.Run)
 	// Logger receives structured progress and rebalancing records
 	// (worker eviction, probing, hedging, batch reassignment, retries).
-	// Nil means slog.Default(); records inside the sweep trace carry
-	// trace_id.
+	// Nil means slog.Default().
 	Logger *slog.Logger
-	// Tracer, when set, opens a sweep-level trace: one root span, one
-	// span per shard, one per batch request, merged with the spans
-	// workers ship back. Nil disables tracing (zero overhead).
-	Tracer *telemetry.Tracer
 }
 
 // Coordinator shards a planned job space across worker processes and
@@ -101,27 +95,6 @@ type Coordinator struct {
 	// execute a job twice; only the first result merges.
 	mergedMu sync.Mutex
 	merged   map[string]struct{}
-
-	// Sweep trace state (nil/empty when Options.Tracer is nil).
-	sweepSpan *telemetry.Span
-	shards    []*shardTrace
-}
-
-// shardTrace tracks one shard's span and how many of its tasks are
-// still outstanding; the last task to finish ends the span, wherever
-// it ended up executing after rebalancing.
-type shardTrace struct {
-	span    *telemetry.Span
-	pending atomic.Int64
-}
-
-func (s *shardTrace) taskDone() {
-	if s == nil {
-		return
-	}
-	if s.pending.Add(-1) == 0 {
-		s.span.End()
-	}
 }
 
 // task is one batch plus its delivery-attempt count. Attempts increment
@@ -211,15 +184,6 @@ func (c *Coordinator) forceTrip(wi int) {
 	if c.breakers[wi].Trip() {
 		live.breakerTrips.Add(1)
 	}
-}
-
-// shardFor returns the trace bookkeeping for a task's shard (nil when
-// tracing is off).
-func (c *Coordinator) shardFor(t *task) *shardTrace {
-	if t.batch.Shard < len(c.shards) {
-		return c.shards[t.batch.Shard]
-	}
-	return nil
 }
 
 // Ping checks every worker for liveness and schema agreement. Callers
@@ -323,7 +287,6 @@ func (c *Coordinator) Run(ctx context.Context, jobs []core.JobSpec, keys []strin
 	// Cut each shard into BatchSize batches and interleave them: seq 0
 	// of every shard, then seq 1, and so on.
 	var tasks []*task
-	perShard := make([]int, nw)
 	for seq := 0; ; seq++ {
 		before := len(tasks)
 		for si, shard := range shards {
@@ -339,7 +302,6 @@ func (c *Coordinator) Run(ctx context.Context, jobs []core.JobSpec, keys []strin
 				Jobs:         shard[:n],
 			}})
 			shards[si] = shard[n:]
-			perShard[si]++
 		}
 		if len(tasks) == before {
 			break
@@ -360,33 +322,6 @@ func (c *Coordinator) Run(ctx context.Context, jobs []core.JobSpec, keys []strin
 	c.merged = make(map[string]struct{}, len(jobs))
 	c.mergedMu.Unlock()
 	live.jobsDispatched.Add(uint64(len(jobs)))
-
-	// Open the sweep trace: a root span plus one span per shard. Shard
-	// spans end when their last task retires, on whichever workers ran
-	// it, and any span still open when Run returns (abort paths) is
-	// closed below; End is idempotent.
-	if tr := c.opts.Tracer; tr != nil {
-		c.sweepSpan = tr.StartTrace("sweep")
-		c.sweepSpan.SetAttr("jobs", fmt.Sprint(len(jobs)))
-		c.sweepSpan.SetAttr("workers", fmt.Sprint(nw))
-		c.shards = make([]*shardTrace, nw)
-		for si := range c.shards {
-			st := &shardTrace{span: tr.StartSpan("shard", c.sweepSpan.Context())}
-			st.span.SetAttr("shard", fmt.Sprint(si))
-			st.pending.Store(int64(perShard[si]))
-			if perShard[si] == 0 {
-				st.span.End()
-			}
-			c.shards[si] = st
-		}
-		defer func() {
-			for _, st := range c.shards {
-				st.span.End()
-			}
-			c.sweepSpan.End()
-			c.shards, c.sweepSpan = nil, nil
-		}()
-	}
 
 	// Sized so every task can be requeued at its full attempt budget
 	// without a push ever blocking.
@@ -494,7 +429,7 @@ func (c *Coordinator) workerLoop(ctx context.Context, wi int, url string) {
 		if failed != nil || !br.Closed() {
 			c.forceTrip(wi)
 			live.workersLost.Add(1)
-			c.log.WarnContext(telemetry.ContextWithSpan(ctx, c.sweepSpan),
+			c.log.WarnContext(ctx,
 				"worker lost; reassigning its batch", "url", url, "requeued", failed != nil)
 			if failed != nil {
 				c.requeue(failed)
@@ -502,7 +437,7 @@ func (c *Coordinator) workerLoop(ctx context.Context, wi int, url string) {
 			}
 			readmitted, lost := c.probeUntilHealthy(ctx, wi, url)
 			if lost {
-				c.log.ErrorContext(telemetry.ContextWithSpan(ctx, c.sweepSpan),
+				c.log.ErrorContext(ctx,
 					"worker permanently lost: probe budget exhausted", "url", url)
 				if c.alive.Add(-1) == 0 && c.pending.Load() > 0 {
 					c.abort(errors.New("dist: all workers failed"))
@@ -512,7 +447,7 @@ func (c *Coordinator) workerLoop(ctx context.Context, wi int, url string) {
 			if !readmitted {
 				return // sweep finished or cancelled while probing
 			}
-			c.log.InfoContext(telemetry.ContextWithSpan(ctx, c.sweepSpan),
+			c.log.InfoContext(ctx,
 				"worker re-admitted after successful probe", "url", url)
 			continue
 		}
@@ -582,8 +517,7 @@ func (c *Coordinator) handle(ctx context.Context, wi int, url string, t *task) b
 		// Worker-side transient failures (per-job deadline expiry): the
 		// failed jobs go back on the queue together as one task, created
 		// before this one retires so the pending count never
-		// momentarily hits zero. The shard's trace pending count moves
-		// in lockstep so its span outlives the retried work.
+		// momentarily hits zero.
 		nt := &task{
 			batch: Batch{
 				Schema:       SchemaVersion,
@@ -595,15 +529,11 @@ func (c *Coordinator) handle(ctx context.Context, wi int, url string, t *task) b
 			attempts: t.attempts,
 		}
 		c.pending.Add(1)
-		if st := c.shardFor(nt); st != nil {
-			st.pending.Add(1)
-		}
 		if c.requeue(nt) {
-			c.log.InfoContext(telemetry.ContextWithSpan(ctx, c.sweepSpan), "transient job failures requeued",
+			c.log.InfoContext(ctx, "transient job failures requeued",
 				"jobs", len(requeueJobs), "url", url)
 		}
 	}
-	c.shardFor(t).taskDone()
 	c.finish()
 	return true
 }
@@ -628,20 +558,6 @@ func (c *Coordinator) runTask(ctx context.Context, wi int, url string, t *task) 
 	if err != nil {
 		return nil, fmt.Errorf("dist: encode batch: %w", err)
 	}
-	// One batch span covers the task on this worker, in-place retries
-	// and any hedge included; its context rides the request headers so
-	// the workers' spans become its children.
-	var parent telemetry.SpanContext
-	if st := c.shardFor(t); st != nil {
-		parent = st.span.Context()
-	}
-	span := c.opts.Tracer.StartSpan("batch", parent)
-	span.SetAttr("shard", fmt.Sprint(t.batch.Shard))
-	span.SetAttr("seq", fmt.Sprint(t.batch.Seq))
-	span.SetAttr("jobs", fmt.Sprint(len(t.batch.Jobs)))
-	span.SetAttr("url", url)
-	span.SetAttr("deadline_ms", fmt.Sprint(t.batch.JobTimeoutMS))
-	defer span.End()
 
 	resCh := make(chan postOutcome, 2)
 	pctx, pcancel := context.WithCancel(ctx)
@@ -649,7 +565,7 @@ func (c *Coordinator) runTask(ctx context.Context, wi int, url string, t *task) 
 	hctx, hcancel := context.WithCancel(ctx)
 	defer hcancel()
 	go func() {
-		reply, err := c.postRetry(pctx, url, payload, span)
+		reply, err := c.postRetry(pctx, url, payload)
 		resCh <- postOutcome{reply: reply, err: err}
 	}()
 
@@ -669,12 +585,10 @@ func (c *Coordinator) runTask(ctx context.Context, wi int, url string, t *task) 
 				continue
 			}
 			live.hedgesIssued.Add(1)
-			span.SetAttr("hedged", "true")
-			span.SetAttr("hedge_url", hurl)
-			c.log.InfoContext(telemetry.ContextWithSpan(ctx, span), "hedging tail batch",
+			c.log.InfoContext(ctx, "hedging tail batch",
 				"shard", t.batch.Shard, "seq", t.batch.Seq, "primary", url, "hedge", hurl)
 			go func() {
-				reply, err := c.post(hctx, hurl, payload, span.Context())
+				reply, err := c.post(hctx, hurl, payload)
 				resCh <- postOutcome{reply: reply, err: err, hedge: true}
 			}()
 			issued++
@@ -704,27 +618,23 @@ func (c *Coordinator) runTask(ctx context.Context, wi int, url string, t *task) 
 	if win == nil {
 		return nil, firstErr
 	}
-	if win.hedge {
-		span.SetAttr("winner", "hedge")
-	}
 	return c.merge(t, win.reply)
 }
 
 // postRetry POSTs one batch to one worker, retrying transient
 // transport failures in place with capped exponential backoff.
-func (c *Coordinator) postRetry(ctx context.Context, url string, payload []byte, span *telemetry.Span) (BatchResult, error) {
+func (c *Coordinator) postRetry(ctx context.Context, url string, payload []byte) (BatchResult, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
 		if attempt > 0 {
 			live.batchRetries.Add(1)
-			span.SetAttr("retries", fmt.Sprint(attempt))
 			select {
 			case <-ctx.Done():
 				return BatchResult{}, ctx.Err()
 			case <-time.After(runner.Backoff{Initial: c.opts.RetryBackoff}.Delay(attempt - 1)):
 			}
 		}
-		reply, err := c.post(ctx, url, payload, span.Context())
+		reply, err := c.post(ctx, url, payload)
 		if err == nil {
 			return reply, nil
 		}
@@ -732,7 +642,7 @@ func (c *Coordinator) postRetry(ctx context.Context, url string, payload []byte,
 		if !runner.IsTransient(err) || ctx.Err() != nil {
 			return BatchResult{}, err
 		}
-		c.log.WarnContext(telemetry.ContextWithSpan(ctx, span), "batch attempt failed",
+		c.log.WarnContext(ctx, "batch attempt failed",
 			"url", url, "attempt", attempt+1, "attempts", c.opts.Retries+1, "err", err)
 	}
 	return BatchResult{}, lastErr
@@ -745,17 +655,13 @@ func (c *Coordinator) postRetry(ctx context.Context, url string, payload []byte,
 // produced it — is deterministic. A 4xx without a digest could be the
 // HTTP server machinery answering a request corrupted in transit, so
 // it is retried too.
-func (c *Coordinator) post(ctx context.Context, url string, payload []byte, sc telemetry.SpanContext) (BatchResult, error) {
+func (c *Coordinator) post(ctx context.Context, url string, payload []byte) (BatchResult, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+PathExec, bytes.NewReader(payload))
 	if err != nil {
 		return BatchResult{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(HeaderDigest, ContentDigest(payload))
-	if sc.Valid() {
-		req.Header.Set(HeaderTraceID, sc.TraceID)
-		req.Header.Set(HeaderSpanID, sc.SpanID)
-	}
 	live.batchesSent.Add(1)
 	resp, err := c.client.Do(req)
 	if err != nil {
@@ -806,9 +712,6 @@ func (c *Coordinator) post(ctx context.Context, url string, payload []byte, sc t
 // merged-key guard makes every job's merge exactly-once even across
 // hedges and reassignment.
 func (c *Coordinator) merge(t *task, reply BatchResult) ([]Job, error) {
-	// Worker spans merge into the sweep's tracer regardless of job
-	// outcomes — a failed batch's timing is exactly what a trace is for.
-	c.opts.Tracer.Import(reply.Spans)
 	byKey := make(map[string]Job, len(t.batch.Jobs))
 	for _, j := range t.batch.Jobs {
 		byKey[j.Key] = j

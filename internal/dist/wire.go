@@ -19,18 +19,6 @@ import (
 
 	"bce/internal/core"
 	"bce/internal/metrics"
-	"bce/internal/telemetry"
-)
-
-// Trace-context propagation headers. Trace identity rides HTTP headers,
-// not message bodies, so the wire schema (and therefore v1 payload
-// compatibility) is untouched: an old worker ignores the headers, an
-// old coordinator never sends them. A worker attaches spans to its
-// reply only when the request carried these headers, which keeps new
-// workers compatible with old coordinators' strict decoders too.
-const (
-	HeaderTraceID = "Bce-Trace-Id"
-	HeaderSpanID  = "Bce-Span-Id"
 )
 
 // HeaderDigest carries a sha256 content digest of the message body, in
@@ -41,9 +29,8 @@ const (
 // batch and said no") — and abort the sweep. With digests, the worker
 // answers corruption with 409 before ever parsing, and the coordinator
 // rejects a corrupted reply as transient, so in-flight damage is
-// retried while genuinely bad batches still fail fast. Like the trace
-// headers, the digest rides HTTP headers so the v1 wire schema is
-// untouched.
+// retried while genuinely bad batches still fail fast. The digest
+// rides HTTP headers so the v1 wire schema is untouched.
 const HeaderDigest = "Bce-Content-Digest"
 
 // ContentDigest returns the hex sha256 of body, the HeaderDigest
@@ -130,11 +117,6 @@ type BatchResult struct {
 	Worker string `json:"worker,omitempty"`
 	// Results holds one entry per job in the batch.
 	Results []JobResult `json:"results"`
-	// Spans carries the worker's completed trace spans for this batch,
-	// present only when the request carried trace-context headers. The
-	// coordinator imports them into the sweep's tracer, which is how
-	// one merged cross-process timeline exists at all.
-	Spans []telemetry.SpanData `json:"spans,omitempty"`
 }
 
 // EncodeBatch serializes b to wire form.
@@ -200,14 +182,6 @@ func DecodeBatchResult(data []byte) (BatchResult, error) {
 		}
 		if jr.Transient && jr.Err == "" {
 			return BatchResult{}, fmt.Errorf("dist: batch result: entry %d: transient without error", i)
-		}
-	}
-	for i, sp := range r.Spans {
-		if sp.TraceID == "" || sp.SpanID == "" || sp.Name == "" {
-			return BatchResult{}, fmt.Errorf("dist: batch result: span %d: missing trace_id/span_id/name", i)
-		}
-		if sp.Dur < 0 {
-			return BatchResult{}, fmt.Errorf("dist: batch result: span %d: negative duration", i)
 		}
 	}
 	return r, nil

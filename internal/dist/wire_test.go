@@ -274,3 +274,20 @@ func TestWorkerRejectsHostileWrapperSpecs(t *testing.T) {
 		})
 	}
 }
+
+// TestBatchResultV1Compat pins the v1 reply bytes: the literal payload
+// a schema-1 worker sends must decode under this build's strict
+// decoder with every field intact.
+func TestBatchResultV1Compat(t *testing.T) {
+	v1 := `{"schema":1,"worker":"old","results":[{"key":"k1","run":{}},{"key":"k2","err":"boom","transient":true}]}`
+	got, err := DecodeBatchResult([]byte(v1))
+	if err != nil {
+		t.Fatalf("v1 payload rejected: %v", err)
+	}
+	if got.Worker != "old" || len(got.Results) != 2 {
+		t.Errorf("v1 payload mangled: %+v", got)
+	}
+	if r := got.Results[1]; r.Key != "k2" || r.Err != "boom" || !r.Transient {
+		t.Errorf("v1 failure entry mangled: %+v", r)
+	}
+}

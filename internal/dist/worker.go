@@ -168,25 +168,9 @@ func (w *Worker) handleExec(rw http.ResponseWriter, req *http.Request) {
 		http.Error(rw, "exec is POST", http.StatusMethodNotAllowed)
 		return
 	}
-	// Trace context, if the coordinator sent any, arrives as headers.
-	// Only then does this request get a tracer — replies to untraced
-	// (or pre-tracing) coordinators never grow a spans field.
-	var tracer *telemetry.Tracer
-	remote := telemetry.SpanContext{
-		TraceID: req.Header.Get(HeaderTraceID),
-		SpanID:  req.Header.Get(HeaderSpanID),
-	}
-	if remote.Valid() {
-		tracer = telemetry.NewTracer(w.name)
-	}
-	execSpan := tracer.StartSpan("exec", remote)
-	ctx := telemetry.ContextWithSpan(req.Context(), execSpan)
-
-	decSpan := tracer.StartSpan("decode", execSpan.Context())
+	ctx := req.Context()
 	body, err := readAllLimited(req.Body)
 	if err != nil {
-		decSpan.End()
-		execSpan.End()
 		replyError(rw, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -195,25 +179,18 @@ func (w *Worker) handleExec(rw http.ResponseWriter, req *http.Request) {
 	// network's fault, not the batch's — answered 409 so the
 	// coordinator retries instead of aborting on a "malformed" batch.
 	if want := req.Header.Get(HeaderDigest); want != "" && want != ContentDigest(body) {
-		decSpan.End()
-		execSpan.End()
 		w.log.WarnContext(ctx, "batch corrupted in transit", "worker", w.name, "bytes", len(body))
 		replyError(rw, http.StatusConflict, "dist: batch corrupted in transit (content digest mismatch)")
 		return
 	}
 	batch, err := DecodeBatch(body)
-	decSpan.End()
 	if err != nil {
 		// A malformed or version-skewed batch is deterministic: the
 		// coordinator must not retry it here.
-		execSpan.End()
 		w.log.WarnContext(ctx, "rejected batch", "worker", w.name, "err", err)
 		replyError(rw, http.StatusBadRequest, err.Error())
 		return
 	}
-	execSpan.SetAttr("shard", fmt.Sprint(batch.Shard))
-	execSpan.SetAttr("seq", fmt.Sprint(batch.Seq))
-	execSpan.SetAttr("jobs", fmt.Sprint(len(batch.Jobs)))
 	live.batchStart(len(batch.Jobs))
 	batchT0 := time.Now()
 	w.log.DebugContext(ctx, "batch accepted",
@@ -224,36 +201,19 @@ func (w *Worker) handleExec(rw http.ResponseWriter, req *http.Request) {
 	// coordinator hangs up, cancelling req.Context()).
 	results, err := runner.Map(ctx, w.pool, batch.Jobs,
 		func(ctx context.Context, _ int, job Job) (JobResult, error) {
-			jobSpan := tracer.StartSpan("job", execSpan.Context())
-			jobSpan.SetAttr("key", job.Key)
-			jobSpan.SetAttr("bench", job.Spec.Bench)
-			r := w.runJob(telemetry.ContextWithSpan(ctx, jobSpan), job, batch.JobTimeoutMS)
-			if r.Err != "" {
-				jobSpan.SetAttr("err", r.Err)
-			}
-			jobSpan.End()
-			return r, nil
+			return w.runJob(ctx, job, batch.JobTimeoutMS), nil
 		})
 	if err != nil {
 		live.batchEnd(false)
-		execSpan.End()
 		// Client gone; nothing useful to write.
 		replyError(rw, http.StatusServiceUnavailable, err.Error())
 		return
 	}
-	// The encode span times reply assembly; the final JSON marshal is
-	// necessarily outside it (the span must be inside the bytes it is
-	// shipped in).
-	encSpan := tracer.StartSpan("encode", execSpan.Context())
-	result := BatchResult{
+	reply, err := EncodeBatchResult(BatchResult{
 		Schema:  SchemaVersion,
 		Worker:  w.name,
 		Results: results,
-	}
-	encSpan.End()
-	execSpan.End()
-	result.Spans = tracer.Drain()
-	reply, err := EncodeBatchResult(result)
+	})
 	if err != nil {
 		live.batchEnd(false)
 		replyError(rw, http.StatusInternalServerError, err.Error())

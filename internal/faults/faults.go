@@ -95,26 +95,6 @@ func (t *TruncateReader) Read(p []byte) (int, error) {
 // Truncated reports whether the artificial cut was reached.
 func (t *TruncateReader) Truncated() bool { return t.truncated }
 
-// CorruptFile flips the bits under mask in the byte at offset of the
-// file at path, in place. Offset is clamped to the file's last byte.
-func CorruptFile(path string, offset int64, mask byte) error {
-	if mask == 0 {
-		mask = 0x01
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(data) == 0 {
-		return fmt.Errorf("faults: %s is empty, nothing to corrupt", path)
-	}
-	if offset >= int64(len(data)) {
-		offset = int64(len(data)) - 1
-	}
-	data[offset] ^= mask
-	return os.WriteFile(path, data, 0o644)
-}
-
 // CorruptDirEntry corrupts one stored cache entry in a runner.DirStore
 // directory by truncating it mid-JSON, returning the victim's path.
 // It picks the first *.json entry (lexicographic) so tests are

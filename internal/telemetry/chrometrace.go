@@ -53,7 +53,7 @@ type chromeEvent struct {
 // writeTraceDoc sorts events by (ts, pid, tid) stably and writes the
 // trace_event JSON document: one event object per line, so goldens
 // diff cleanly. Shared by the simulator ChromeTrace sink and the
-// distributed span exporter (spantrace.go).
+// span exporter (spantrace.go).
 func writeTraceDoc(w io.Writer, events []chromeEvent) error {
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].ts != events[j].ts {

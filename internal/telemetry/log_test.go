@@ -1,11 +1,7 @@
 package telemetry
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"log/slog"
-	"strings"
 	"testing"
 )
 
@@ -22,71 +18,5 @@ func TestParseLogLevel(t *testing.T) {
 	}
 	if _, err := ParseLogLevel("loud"); err == nil {
 		t.Error("ParseLogLevel must reject unknown levels")
-	}
-	if _, err := NewLogger(&bytes.Buffer{}, slog.LevelInfo, "xml"); err == nil {
-		t.Error("NewLogger must reject unknown formats")
-	}
-}
-
-// TestLoggerTraceCorrelation: a record written with a span-carrying
-// context carries trace_id/span_id; one without a span does not.
-func TestLoggerTraceCorrelation(t *testing.T) {
-	var buf bytes.Buffer
-	lg, err := NewLogger(&buf, slog.LevelDebug, "json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := NewTracer("coordinator")
-	span := tr.StartTrace("sweep")
-	ctx := ContextWithSpan(context.Background(), span)
-
-	lg.InfoContext(ctx, "batch sent", "worker", "w1")
-	lg.InfoContext(context.Background(), "untraced line")
-	span.End()
-
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("want 2 log lines, got %d: %q", len(lines), buf.String())
-	}
-	var traced, plain map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &traced); err != nil {
-		t.Fatalf("traced line is not JSON: %v", err)
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &plain); err != nil {
-		t.Fatalf("plain line is not JSON: %v", err)
-	}
-	sc := span.Context()
-	if traced["trace_id"] != sc.TraceID || traced["span_id"] != sc.SpanID {
-		t.Errorf("traced record ids = %v/%v, want %v/%v",
-			traced["trace_id"], traced["span_id"], sc.TraceID, sc.SpanID)
-	}
-	if traced["worker"] != "w1" || traced["msg"] != "batch sent" {
-		t.Errorf("traced record lost its own attrs: %v", traced)
-	}
-	if _, ok := plain["trace_id"]; ok {
-		t.Errorf("untraced record must not carry trace_id: %v", plain)
-	}
-}
-
-// The trace decoration must survive WithAttrs/WithGroup derivation,
-// which loggers commonly use for component prefixes.
-func TestLoggerTraceCorrelationDerived(t *testing.T) {
-	var buf bytes.Buffer
-	lg, err := NewLogger(&buf, slog.LevelInfo, "text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := NewTracer("worker")
-	span := tr.StartTrace("exec")
-	defer span.End()
-	ctx := ContextWithSpan(context.Background(), span)
-
-	lg.With("component", "dist").WithGroup("g").InfoContext(ctx, "hello")
-	out := buf.String()
-	if !strings.Contains(out, "trace_id="+span.Context().TraceID) {
-		t.Errorf("derived logger dropped trace correlation: %q", out)
-	}
-	if !strings.Contains(out, "component=dist") {
-		t.Errorf("derived logger dropped its attrs: %q", out)
 	}
 }

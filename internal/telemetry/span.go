@@ -1,22 +1,20 @@
 package telemetry
 
-// span.go is the distributed-tracing half of the telemetry layer: a
-// lightweight span API for the coordinator/worker stack. A span is a
-// named wall-clock interval with a trace identity (trace id, span id,
-// optional parent) and string attributes; completed spans are collected
-// by a Tracer and exported — locally or after crossing a process
-// boundary — as one merged Chrome trace_event timeline (see
-// spantrace.go). The simulator's cycle-level Sink/Event stream is a
-// different instrument for a different timescale; spans measure the
-// orchestration around simulations (shards, batches, jobs, RPCs), not
-// the simulations' microarchitecture.
+// span.go is the wall-clock tracing half of the telemetry layer: a
+// lightweight span API. A span is a named wall-clock interval with a
+// trace identity (trace id, span id, optional parent) and string
+// attributes; completed spans are collected by a Tracer and exported
+// as one Chrome trace_event timeline (see spantrace.go). The
+// benchmark harness's traced runs (--trace 1) use it. The simulator's
+// cycle-level Sink/Event stream is a different instrument for a
+// different timescale; spans measure the work around simulations
+// (workloads, setup, passes), not the simulations' microarchitecture.
 //
 // Tracing is out-of-band by construction: spans never touch stdout,
-// manifests, or cache keys, so a traced sweep is byte-identical to an
+// manifests, or cache keys, so a traced run is byte-identical to an
 // untraced one.
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"sync"
@@ -24,10 +22,8 @@ import (
 	"time"
 )
 
-// SpanContext is the cross-process identity of a span: enough to make
-// a remote child. It travels over the dist wire protocol as HTTP
-// headers (see internal/dist), never in message bodies, which is what
-// keeps the wire schema version untouched.
+// SpanContext is the identity of a span: enough to start a child of
+// it.
 type SpanContext struct {
 	TraceID string `json:"trace_id"`
 	SpanID  string `json:"span_id"`
@@ -36,18 +32,18 @@ type SpanContext struct {
 // Valid reports whether the context names a real span.
 func (sc SpanContext) Valid() bool { return sc.TraceID != "" && sc.SpanID != "" }
 
-// SpanData is one completed span in export/wire form. Times are
+// SpanData is one completed span in export form. Times are
 // microseconds (the Chrome trace_event unit): Start is absolute unix
 // microseconds, Dur the span length.
 type SpanData struct {
 	TraceID string `json:"trace_id"`
 	SpanID  string `json:"span_id"`
 	// Parent is the parent span id within the same trace; empty for a
-	// trace root. The parent may live in another process.
+	// trace root.
 	Parent string `json:"parent_id,omitempty"`
 	Name   string `json:"name"`
-	// Proc labels the process that produced the span (coordinator,
-	// worker name); the merged timeline groups lanes by it.
+	// Proc labels the process that produced the span (the tracer's
+	// label); the timeline groups lanes by it.
 	Proc  string            `json:"proc,omitempty"`
 	Start int64             `json:"start_us"`
 	Dur   int64             `json:"dur_us"`
@@ -96,7 +92,7 @@ func (s *Span) SetAttr(key, value string) {
 
 // End completes the span and hands it to the tracer. Exactly the first
 // End takes effect; the property test pins that every started span is
-// ended exactly once even under concurrent shard execution.
+// ended exactly once even under concurrent use.
 func (s *Span) End() {
 	if s == nil || !s.ended.CompareAndSwap(false, true) {
 		return
@@ -133,28 +129,19 @@ type Tracer struct {
 }
 
 // NewTracer returns a tracer stamping spans with the given process
-// label ("coordinator", a worker name).
+// label.
 func NewTracer(proc string) *Tracer {
 	return &Tracer{proc: proc, now: time.Now, newID: randomID}
 }
 
 // randomID returns n random bytes hex-encoded. Span identity only
-// needs uniqueness across the processes of one sweep; crypto/rand
-// avoids any seeding coordination.
+// needs uniqueness within a timeline; crypto/rand needs no seeding.
 func randomID(n int) string {
 	b := make([]byte, n)
 	if _, err := rand.Read(b); err != nil {
 		panic("telemetry: crypto/rand failed: " + err.Error())
 	}
 	return hex.EncodeToString(b)
-}
-
-// Proc returns the tracer's process label ("" for nil).
-func (t *Tracer) Proc() string {
-	if t == nil {
-		return ""
-	}
-	return t.proc
 }
 
 // StartTrace starts a root span under a fresh trace id.
@@ -192,17 +179,6 @@ func (t *Tracer) start(name string, parent SpanContext) *Span {
 	return s
 }
 
-// Import merges completed spans from another process (a worker's reply)
-// into this tracer's collection, verbatim.
-func (t *Tracer) Import(spans []SpanData) {
-	if t == nil || len(spans) == 0 {
-		return
-	}
-	t.mu.Lock()
-	t.done = append(t.done, spans...)
-	t.mu.Unlock()
-}
-
 // Drain returns every completed span collected so far and clears the
 // collection. Spans still in flight are not included; end them first.
 func (t *Tracer) Drain() []SpanData {
@@ -217,31 +193,10 @@ func (t *Tracer) Drain() []SpanData {
 }
 
 // Counts returns how many spans this tracer has started and ended —
-// the balance the span-lifecycle property test checks. Imported spans
-// count for neither.
+// the balance the span-lifecycle property test checks.
 func (t *Tracer) Counts() (started, ended uint64) {
 	if t == nil {
 		return 0, 0
 	}
 	return t.started.Load(), t.ended.Load()
-}
-
-// spanCtxKey carries a SpanContext through a context.Context for
-// log↔trace correlation (see log.go).
-type spanCtxKey struct{}
-
-// ContextWithSpan returns ctx carrying the span's context; log records
-// written through a trace-aware handler (NewLogger) within it carry
-// trace_id/span_id attributes. A nil span returns ctx unchanged.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanCtxKey{}, s.Context())
-}
-
-// SpanContextFrom extracts the span context ContextWithSpan stored.
-func SpanContextFrom(ctx context.Context) (SpanContext, bool) {
-	sc, ok := ctx.Value(spanCtxKey{}).(SpanContext)
-	return sc, ok && sc.Valid()
 }

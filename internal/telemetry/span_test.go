@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -12,10 +11,10 @@ import (
 	"time"
 )
 
-// TestSpanLifecycleProperty is the concurrency property the distributed
-// tracer must hold: under a shard-like fan-out (many goroutines, each
-// opening nested spans, some racing duplicate End calls), every started
-// span ends exactly once and exactly the started spans are drained.
+// TestSpanLifecycleProperty is the concurrency property the tracer
+// must hold: under a fan-out (many goroutines, each opening nested
+// spans, some racing duplicate End calls), every started span ends
+// exactly once and exactly the started spans are drained.
 // Run with -race.
 func TestSpanLifecycleProperty(t *testing.T) {
 	tr := NewTracer("coordinator")
@@ -102,7 +101,6 @@ func TestSpanNilSafety(t *testing.T) {
 	if got := tr.Drain(); got != nil {
 		t.Fatal("nil tracer Drain must return nil")
 	}
-	tr.Import([]SpanData{{SpanID: "x"}})
 	if st, en := tr.Counts(); st != 0 || en != 0 {
 		t.Fatal("nil tracer counts must be zero")
 	}
@@ -112,22 +110,6 @@ func TestSpanNilSafety(t *testing.T) {
 	live := NewTracer("w")
 	if live.StartSpan("child", SpanContext{}) != nil {
 		t.Fatal("StartSpan with invalid parent must return nil")
-	}
-}
-
-func TestContextWithSpan(t *testing.T) {
-	tr := NewTracer("coordinator")
-	s := tr.StartTrace("sweep")
-	ctx := ContextWithSpan(context.Background(), s)
-	sc, ok := SpanContextFrom(ctx)
-	if !ok || sc != s.Context() {
-		t.Fatalf("SpanContextFrom = %+v, %v; want %+v, true", sc, ok, s.Context())
-	}
-	if _, ok := SpanContextFrom(context.Background()); ok {
-		t.Fatal("empty context must carry no span")
-	}
-	if got := ContextWithSpan(context.Background(), nil); got != context.Background() {
-		t.Fatal("nil span must return ctx unchanged")
 	}
 }
 
@@ -186,12 +168,13 @@ func TestAssignLanesOrphanOverlap(t *testing.T) {
 	}
 }
 
-// buildCrossProcessSpans simulates the shape of a real distributed
-// sweep: a coordinator tracer owning sweep/shard/batch spans, a worker
-// tracer producing child spans from the propagated context, and the
-// worker's completed spans imported back into the coordinator — the
-// exact merge path WriteSpanTrace renders.
-func buildCrossProcessSpans() []SpanData {
+// buildTwoProcessSpans builds spans from two tracers with distinct
+// process labels, clocks and id spaces: a coordinator tracer owning
+// sweep/shard/batch spans and a worker tracer whose spans are children
+// of the coordinator's batch span. It returns both tracers' drained
+// spans, worker first, which WriteSpanTrace renders as one timeline
+// with a lane group per process.
+func buildTwoProcessSpans() []SpanData {
 	coord := testTracer("coordinator", 0)
 	sweep := coord.StartTrace("sweep")
 	sweep.SetAttr("jobs", "4")
@@ -200,8 +183,8 @@ func buildCrossProcessSpans() []SpanData {
 	shard0.SetAttr("shard", "0")
 	batch0 := coord.StartSpan("batch", shard0.Context())
 
-	// The batch span's context crosses the wire as headers; the worker
-	// builds its own tracer and parents its spans on the remote context.
+	// The worker has its own tracer and parents its spans on the
+	// coordinator's batch span.
 	worker := testTracer("worker-1", 0x100)
 	wbatch := worker.StartSpan("exec", batch0.Context())
 	dec := worker.StartSpan("decode", wbatch.Context())
@@ -215,15 +198,14 @@ func buildCrossProcessSpans() []SpanData {
 	enc.End()
 	wbatch.End()
 
-	coord.Import(worker.Drain())
 	batch0.End()
 	shard0.End()
 	sweep.End()
-	return coord.Drain()
+	return append(worker.Drain(), coord.Drain()...)
 }
 
 func TestWriteSpanTraceGolden(t *testing.T) {
-	spans := buildCrossProcessSpans()
+	spans := buildTwoProcessSpans()
 	var buf bytes.Buffer
 	if err := WriteSpanTrace(&buf, spans); err != nil {
 		t.Fatalf("WriteSpanTrace: %v", err)
@@ -247,11 +229,11 @@ func TestWriteSpanTraceGolden(t *testing.T) {
 }
 
 // TestWriteSpanTraceMergesProcesses checks the structural invariants
-// the CI trace check relies on, independent of golden bytes: valid
-// JSON, one pid per process, a single shared trace id, and parent ids
-// that resolve (possibly across processes).
+// of a timeline merged from two tracers' drained spans, independent of
+// golden bytes: valid JSON, one pid per process, a single shared trace
+// id, and parent ids that resolve (possibly across processes).
 func TestWriteSpanTraceMergesProcesses(t *testing.T) {
-	spans := buildCrossProcessSpans()
+	spans := buildTwoProcessSpans()
 	var buf bytes.Buffer
 	if err := WriteSpanTrace(&buf, spans); err != nil {
 		t.Fatalf("WriteSpanTrace: %v", err)

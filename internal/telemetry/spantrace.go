@@ -6,14 +6,14 @@ import (
 	"sort"
 )
 
-// spantrace.go renders the spans of one distributed sweep — collected
-// across coordinator and worker processes by Tracer/Import — as a
-// single Chrome trace_event timeline, sharing the document writer with
-// the simulator's ChromeTrace sink. Each producing process becomes a
-// trace pid; within a process, spans are packed onto thread lanes so
-// that a child span sits on its parent's lane when their intervals
-// nest (the flame view) and overlapping siblings spill onto separate
-// lanes instead of rendering on top of each other.
+// spantrace.go renders completed spans — drained from one or more
+// Tracers — as a single Chrome trace_event timeline, sharing the
+// document writer with the simulator's ChromeTrace sink. Each producing
+// process label (SpanData.Proc) becomes a trace pid; within a process,
+// spans are packed onto thread lanes so that a child span sits on its
+// parent's lane when their intervals nest (the flame view) and
+// overlapping siblings spill onto separate lanes instead of rendering
+// on top of each other.
 
 // spanLane is one open-span stack for a thread lane: the ids and end
 // times of spans currently occupying the lane, innermost last.

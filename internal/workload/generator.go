@@ -767,15 +767,3 @@ func (g *Generator) BranchKinds() map[uint64]string {
 	}
 	return out
 }
-
-// BehaviorAt returns the behavior of the static conditional branch at
-// pc, or nil; calibration tooling uses it to compute class-conditional
-// statistics exactly.
-func (g *Generator) BehaviorAt(pc uint64) Behavior {
-	for i := range g.prog.blocks {
-		if b := &g.prog.blocks[i]; b.term.PC == pc && b.term.Kind == trace.CondBranch {
-			return b.behave
-		}
-	}
-	return nil
-}

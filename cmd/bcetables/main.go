@@ -66,7 +66,7 @@ func workloadSeeds() map[string]int64 {
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment to regenerate (table2..table6, fig4..fig9, latency, all)")
+		exp        = flag.String("exp", "all", "experiment to regenerate ("+expNames+")")
 		bench      = flag.String("bench", "gcc", "benchmark for the density figures (fig4-fig7)")
 		quick      = flag.Bool("quick", false, "use reduced run lengths")
 		segments   = flag.Int("segments", 1, "independent trace segments per benchmark (the paper uses 2)")
@@ -356,6 +356,8 @@ func density(scheme, figs string) func(core.Sizes, string, bool) (any, string, e
 	}
 }
 
+const expNames = "table2..table6, fig4..fig9, latency, all, fidelity, extras, ablate-*, variability"
+
 // experiments lists every experiment in output order. fidelity is the
 // scorecard composite: the experiments the paper fidelity gate scores.
 var experiments = []experiment{
@@ -429,7 +431,7 @@ func run(exp, bench string, csv bool, sz core.Sizes, mb *manifest.Builder, out i
 		ran = true
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q (want table2..table6, fig4..fig9, latency, all, fidelity, extras, ablate-*, variability)", exp)
+		return fmt.Errorf("unknown experiment %q (want "+expNames+")", exp)
 	}
 	return nil
 }

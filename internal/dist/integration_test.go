@@ -15,14 +15,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"bce/internal/core"
-	"bce/internal/faults/netproxy"
 	"bce/internal/manifest"
 	"bce/internal/metrics"
 )
@@ -143,14 +141,6 @@ func planTable4(t *testing.T, sz core.Sizes) *core.Plan {
 // It returns the rendered table and the manifest's canonical job
 // bytes (operational fields stripped).
 func distributeTable4(t *testing.T, sz core.Sizes, urls []string, onMerge func(n int)) (string, []byte) {
-	out, jobs, _ := distributeTable4Opts(t, sz, urls, onMerge, nil)
-	return out, jobs
-}
-
-// distributeTable4Opts is distributeTable4 with an options hook (chaos
-// legs tune timeouts/clients) and the finished manifest returned for
-// record-level assertions.
-func distributeTable4Opts(t *testing.T, sz core.Sizes, urls []string, onMerge func(n int), tweak func(*Options)) (string, []byte, *manifest.Manifest) {
 	t.Helper()
 	plan := planTable4(t, sz)
 	if len(plan.Jobs) == 0 {
@@ -180,9 +170,6 @@ func distributeTable4Opts(t *testing.T, sz core.Sizes, urls []string, onMerge fu
 			}
 		},
 	}
-	if tweak != nil {
-		tweak(&opts)
-	}
 	coord, err := NewCoordinator(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +182,7 @@ func distributeTable4Opts(t *testing.T, sz core.Sizes, urls []string, onMerge fu
 		t.Errorf("aggregation pass simulated %d jobs locally; every result should have come from the workers", misses)
 	}
 	m := mb.Finish(core.ResultCacheStats())
-	return out, canonicalJobs(t, m.Jobs), m
+	return out, canonicalJobs(t, m.Jobs)
 }
 
 // canonicalJobs strips the operational fields (which worker ran a job,
@@ -283,78 +270,6 @@ func TestDistributedWorkerSIGKILL(t *testing.T) {
 	})
 	if dist != single {
 		t.Errorf("post-SIGKILL distributed output differs from single-process:\n--- single ---\n%s\n--- distributed ---\n%s", single, dist)
-	}
-}
-
-// TestDistributedByteIdentityThroughChaosProxy puts real worker
-// processes behind the network chaos proxy — latency and jitter plus a
-// reset window on one path, a flapping partition on the other — and
-// asserts the defining invariant survives transport chaos: rendered
-// output byte-identical to a clean run, manifests agreeing on every
-// job, zero lost jobs, and exactly one record per job key.
-func TestDistributedByteIdentityThroughChaosProxy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-process sweep in -short mode")
-	}
-	sz := integSizes()
-
-	core.ResetResultCache()
-	single, _ := renderTable4(t, sz)
-
-	u1, _ := startWorkerProc(t, "w1")
-	u2, _ := startWorkerProc(t, "w2")
-	core.ResetResultCache()
-	_, cleanJobs := distributeTable4(t, sz, []string{u1, u2}, nil)
-
-	// Chaos leg: w1 behind latency+jitter with an early reset window,
-	// w2 behind a 30ms partition that then heals. Deterministic
-	// schedules; the worker processes themselves are untouched.
-	lat, err := netproxy.Start(strings.TrimPrefix(u1, "http://"), netproxy.Schedule{
-		Seed: 101,
-		Rules: []netproxy.Rule{
-			{ForMS: 100, LatencyMS: 2, JitterMS: 3, ResetProb: 0.1},
-			{ForMS: 0, LatencyMS: 2, JitterMS: 3},
-		},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lat.Close()
-	part, err := netproxy.Start(strings.TrimPrefix(u2, "http://"), netproxy.Schedule{
-		Seed: 102,
-		Rules: []netproxy.Rule{
-			{ForMS: 30, Partition: true},
-			{ForMS: 0, LatencyMS: 1},
-		},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer part.Close()
-
-	ResetStats()
-	core.ResetResultCache()
-	chaos, chaosJobs, m := distributeTable4Opts(t, sz, []string{lat.URL(), part.URL()}, nil,
-		func(o *Options) {
-			o.Retries = 2
-			o.Client = &http.Client{Timeout: 10 * time.Second}
-		})
-
-	if chaos != single {
-		t.Errorf("chaos-proxied distributed output differs from single-process:\n--- single ---\n%s\n--- chaos ---\n%s", single, chaos)
-	}
-	if string(chaosJobs) != string(cleanJobs) {
-		t.Error("chaos-proxied manifest disagrees with the clean distributed manifest")
-	}
-	// Exactly-one-record semantics: no duplicate keys (Finish sorts, so
-	// duplicates would be adjacent) and no job recorded as re-requested.
-	for i, j := range m.Jobs {
-		if i > 0 && m.Jobs[i-1].Key == j.Key {
-			t.Errorf("duplicate manifest record for key %s", j.Key)
-		}
-		if j.Hits != 0 {
-			t.Errorf("job %s recorded %d duplicate merges; hedging/reassignment must stay invisible", j.Key, j.Hits)
-		}
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 
 	"bce/internal/manifest"
 	"bce/internal/predictor"
-	"bce/internal/prof"
 	"bce/internal/runner"
 	"bce/internal/telemetry"
 	"bce/internal/workload"
@@ -41,7 +40,6 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "serve pprof + expvar on this address (e.g. localhost:6060); Prometheus text format on /metrics")
 		manifestTo = flag.String("manifest", "", "write a run manifest (provenance + per-benchmark rates) to this file")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		profDir    = prof.RegisterFlags()
 		version    = flag.Bool("version", false, "print the bce_build_info identity line and exit")
 	)
 	flag.Parse()
@@ -58,12 +56,6 @@ func main() {
 		fmt.Println(telemetry.BuildInfoLine())
 		return
 	}
-	stopProf, err := prof.Enable(*profDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcecal:", err)
-		os.Exit(1)
-	}
-	defer stopProf()
 	if *debugAddr != "" {
 		srv, err := telemetry.StartDebug(*debugAddr, map[string]func() any{
 			"bce_runner": func() any { return runner.LiveSnapshot() },
@@ -107,8 +99,6 @@ func main() {
 		os.Exit(1)
 	}
 	if mb != nil {
-		// Stop profiling first so the manifest records the profiles.
-		mb.AddProfiles(stopProf()...)
 		if err := mb.WriteFile(*manifestTo, 0, 0); err != nil {
 			fmt.Fprintln(os.Stderr, "bcecal:", err)
 			os.Exit(1)

@@ -36,7 +36,6 @@ import (
 	"bce/internal/manifest"
 	"bce/internal/pipeline"
 	"bce/internal/predictor"
-	"bce/internal/prof"
 	"bce/internal/runner"
 	"bce/internal/telemetry"
 	"bce/internal/trace"
@@ -64,7 +63,6 @@ func main() {
 		stats     = flag.Bool("stats", false, "print the telemetry counter/histogram registry after the run")
 		debugAddr = flag.String("debug-addr", "", "serve pprof + expvar + live sweep stats on this address (e.g. localhost:6060)")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		profDir   = prof.RegisterFlags()
 		version   = flag.Bool("version", false, "print the bce_build_info identity line and exit")
 	)
 	flag.Parse()
@@ -82,13 +80,6 @@ func main() {
 		fmt.Println(telemetry.BuildInfoLine())
 		return
 	}
-
-	stopProf, err := prof.Enable(*profDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcesim:", err)
-		os.Exit(2)
-	}
-	defer stopProf()
 
 	if *debugAddr != "" {
 		srv, err := telemetry.StartDebug(*debugAddr, map[string]func() any{
@@ -117,9 +108,6 @@ func main() {
 			ls := runner.LiveSnapshot()
 			fmt.Fprintf(os.Stderr, "bcesim: interrupted: %d simulations finished before shutdown\n", ls.JobsDone)
 		}
-		// Store the profiles explicitly: a failed run's profile is the
-		// one worth keeping, and os.Exit skips defers.
-		stopProf()
 		fmt.Fprintln(os.Stderr, "bcesim:", err)
 		os.Exit(1)
 	}

@@ -40,7 +40,6 @@ import (
 	"bce/internal/dist"
 	"bce/internal/manifest"
 	"bce/internal/metrics"
-	"bce/internal/prof"
 	"bce/internal/runner"
 	"bce/internal/telemetry"
 	"bce/internal/workload"
@@ -82,7 +81,6 @@ func main() {
 		remote     = flag.String("workers-remote", "", "comma-separated bceworker base URLs (e.g. http://127.0.0.1:8371); shard the sweep's timing simulations across them, then aggregate locally — output is byte-identical to a single-process run")
 		distBatch  = flag.Int("dist-batch", 0, "jobs per batch request to remote workers (0 = default)")
 		logLevel   = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		profDir    = prof.RegisterFlags()
 		version    = flag.Bool("version", false, "print the bce_build_info identity line and exit")
 	)
 	flag.Parse()
@@ -101,15 +99,6 @@ func main() {
 		fmt.Println(telemetry.BuildInfoLine())
 		return
 	}
-
-	// One CPU profile for the whole invocation into the -profile-dir
-	// ring; the manifest (if any) records the digests.
-	stopProf, err := prof.Enable(*profDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcetables:", err)
-		os.Exit(1)
-	}
-	defer stopProf()
 
 	if *debugAddr != "" {
 		srv, err := telemetry.StartDebug(*debugAddr, map[string]func() any{
@@ -199,7 +188,6 @@ func main() {
 			interrupted()
 		}
 		core.CloseCheckpoint(false)
-		stopProf()
 		fmt.Fprintln(os.Stderr, "bcetables:", err)
 		os.Exit(1)
 	}
@@ -227,8 +215,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bcetables: checkpoint:", err)
 	}
 	if mb != nil {
-		// Stop profiling first so the manifest records the profiles.
-		mb.AddProfiles(stopProf()...)
 		hits, misses := core.ResultCacheStats()
 		if err := mb.WriteFile(*manifestTo, hits, misses); err != nil {
 			fmt.Fprintln(os.Stderr, "bcetables:", err)

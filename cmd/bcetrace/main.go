@@ -15,9 +15,9 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"strings"
 
 	"bce/internal/manifest"
-	"bce/internal/prof"
 	"bce/internal/runner"
 	"bce/internal/telemetry"
 	"bce/internal/trace"
@@ -27,10 +27,8 @@ import (
 func main() {
 	args := os.Args[1:]
 	// Global options, before the subcommand: -debug-addr <addr>,
-	// -log-level <level>, -profile-dir <dir>, and the zero-operand
-	// -version.
-	debugAddr, logLevel := "", "info"
-	profileDir, version := "", false
+	// -log-level <level>, and the zero-operand -version.
+	debugAddr, logLevel, version := "", "info", false
 globals:
 	for len(args) >= 1 {
 		if args[0] == "-version" {
@@ -46,8 +44,6 @@ globals:
 			debugAddr = args[1]
 		case "-log-level":
 			logLevel = args[1]
-		case "-profile-dir":
-			profileDir = args[1]
 		default:
 			break globals
 		}
@@ -66,12 +62,6 @@ globals:
 		fmt.Println(telemetry.BuildInfoLine())
 		return
 	}
-	stopProf, err := prof.Enable(profileDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcetrace:", err)
-		os.Exit(2)
-	}
-	defer stopProf()
 	if debugAddr != "" {
 		srv, err := telemetry.StartDebug(debugAddr, nil)
 		if err != nil {
@@ -97,6 +87,9 @@ globals:
 	case "stat":
 		err = cmdStat(args[1:])
 	default:
+		if strings.HasPrefix(args[0], "-") {
+			fmt.Fprintln(os.Stderr, "flag provided but not defined:", args[0])
+		}
 		usage()
 		os.Exit(2)
 	}
@@ -108,8 +101,7 @@ globals:
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  bcetrace [-debug-addr <addr>] [-log-level <level>] [-profile-dir <dir>]
-           [-version] <command>
+  bcetrace [-debug-addr <addr>] [-log-level <level>] [-version] <command>
   bcetrace gen  -bench <name> -n <uops> -o <file>   generate a trace
   bcetrace dump -i <file> [-n <uops>] [-skip <uops>] print uops
   bcetrace stat -i <file>                            summarize a trace`)

@@ -33,7 +33,6 @@ import (
 	"bce/internal/core"
 	"bce/internal/dist"
 	"bce/internal/manifest"
-	"bce/internal/prof"
 	"bce/internal/runner"
 	"bce/internal/telemetry"
 )
@@ -46,7 +45,6 @@ func main() {
 		cacheDir  = flag.String("cache", "", "directory for this worker's on-disk timing-result cache (empty = in-memory only)")
 		debugAddr = flag.String("debug-addr", "", "serve pprof + expvar + live stats on this address; Prometheus text format on /metrics")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
-		profDir   = prof.RegisterFlags()
 		version   = flag.Bool("version", false, "print the bce_build_info identity line and exit")
 	)
 	flag.Parse()
@@ -64,17 +62,6 @@ func main() {
 		fmt.Println(telemetry.BuildInfoLine())
 		return
 	}
-
-	// With -profile-dir the worker profiles its whole lifetime into its
-	// own ring, stored at graceful shutdown. That holds the CPU
-	// profiler, so /debug/pprof/profile on the API port answers only
-	// for workers started without it.
-	stopProf, err := prof.Enable(*profDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bceworker:", err)
-		os.Exit(1)
-	}
-	defer stopProf()
 
 	if *cacheDir != "" {
 		if err := core.SetResultCacheDir(*cacheDir); err != nil {

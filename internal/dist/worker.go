@@ -105,8 +105,7 @@ func (w *Worker) Handler() http.Handler {
 	// from the base URLs the coordinator already has: `go tool pprof`
 	// fetches /debug/pprof/profile from each worker and merges the
 	// results itself. /debug/pprof/{heap,goroutine,...} come along via
-	// the index handler. A worker started with -profile-dir already
-	// holds the CPU profiler and stores its own profile instead.
+	// the index handler.
 	mux.Handle("/debug/pprof/", telemetry.GetOnly(pprof.Index))
 	mux.Handle("/debug/pprof/profile", telemetry.GetOnly(pprof.Profile))
 	return mux

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"bce/internal/metrics"
-	"bce/internal/prof"
 	"bce/internal/runner"
 )
 
@@ -76,14 +75,6 @@ type Manifest struct {
 	Runner *runner.LiveStats `json:"runner,omitempty"`
 	// Cache is the timing-result cache tally for the invocation.
 	Cache *CacheStats `json:"cache,omitempty"`
-	// Profiles lists the profiles the process stored with -profile-dir:
-	// its CPU profile and exit heap snapshot, as digests into the
-	// content-addressed profile ring (see internal/prof). Operational
-	// provenance, like Worker on jobs: it never feeds the config
-	// fingerprint, and result comparisons ignore it — but `bcereport
-	// -compare` uses the digests to attribute wall/CPU drift between
-	// two manifests when handed the ring that holds them.
-	Profiles []prof.Record `json:"profiles,omitempty"`
 	// Notes carries small tool-specific annotations.
 	Notes map[string]string `json:"notes,omitempty"`
 }
@@ -226,17 +217,6 @@ func (b *Builder) AddResult(name string, v any) error {
 	}
 	b.m.Results[name] = buf
 	return nil
-}
-
-// AddProfiles appends the process's profile records (prof.Enable's
-// stop). Call before Finish; records are kept in the order given.
-func (b *Builder) AddProfiles(recs ...prof.Record) {
-	if len(recs) == 0 {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.m.Profiles = append(b.m.Profiles, recs...)
 }
 
 // Finish stamps timings, runner stats, the cache tally and the config

@@ -2,12 +2,15 @@ package manifest
 
 import (
 	"encoding/json"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"bce/internal/metrics"
+	"bce/internal/runner"
 )
 
 func TestBuilderRoundTrip(t *testing.T) {
@@ -236,5 +239,59 @@ func TestManifestJSONDeterministic(t *testing.T) {
 	a, bb := build(), build()
 	if string(a) != string(bb) {
 		t.Errorf("manifest JSON not deterministic:\n%s\n%s", a, bb)
+	}
+}
+
+// TestManifestWithProfilesLoads pins manifests written before the
+// profile store was removed: their "profiles" array (CPU and heap
+// profile digests) must not stop Load, and every other field must
+// decode intact. The literal is a trimmed bcetables -manifest file
+// from a run with profiling on.
+func TestManifestWithProfilesLoads(t *testing.T) {
+	const old = `{"schema":1,"tool":"bcetables","args":["-exp","table2","-quick","-manifest","t2.json"],` +
+		`"git_revision":"e44e280c43e79b029d5cc6b1f943c7b6f49939ed","go_version":"go1.24.0","os":"linux","arch":"amd64",` +
+		`"start":"2026-10-20T17:04:40Z","wall_seconds":0.52,"cpu_seconds":0.69,"config_fingerprint":"0123456789abcdef",` +
+		`"config":{"bench":"gcc","exp":"table2"},` +
+		`"sizes":{"warmup":10000,"measure":30000,"func_warmup":20000,"func_measure":60000,"segments":1},` +
+		`"seeds":{"gzip":101,"vpr":202},` +
+		`"results":{"table2":{"Rows":[{"Bench":"gzip","MispPer1K":6.6}]}},` +
+		`"jobs":[{"key":"timing|gzip","kind":"timing","bench":"gzip","run":{"Cycles":71121,"Retired":30001,"Mispredicts":51}},` +
+		`{"key":"functional|vpr","kind":"functional","bench":"vpr","cached":true,"hits":2,"confusion":{"CorrectHigh":9,"WrongLow":4}}],` +
+		`"runner":{"jobs_started":72,"jobs_done":72,"jobs_failed":0,"jobs_cached":0,"jobs_retried":0,"store_quarantined":0,"busy_workers":0,"workers":2,"sweep_done":72,"sweep_total":72},` +
+		`"cache":{"hits":0,"misses":72},` +
+		`"profiles":[{"kind":"cpu","digest":"sha256:e6b99669f35508077a75c7a464c8c7fde002180a7df82011728da508f50cdfcb","bytes":415,"duration_seconds":0.51},` +
+		`{"kind":"heap","digest":"sha256:f0c05c2662c3fd30ef7640f773d21897569f2ef9c2a3b56d954b6d706076ebab","bytes":1626,"duration_seconds":0.51}],` +
+		`"notes":{"quick":"true"}}`
+	path := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatalf("manifest with profiles rejected: %v", err)
+	}
+	want := &Manifest{
+		Schema: 1, Tool: "bcetables",
+		Args:        []string{"-exp", "table2", "-quick", "-manifest", "t2.json"},
+		GitRevision: "e44e280c43e79b029d5cc6b1f943c7b6f49939ed", GoVersion: "go1.24.0", OS: "linux", Arch: "amd64",
+		Start: "2026-10-20T17:04:40Z", WallSeconds: 0.52, CPUSeconds: 0.69, ConfigFingerprint: "0123456789abcdef",
+		Config:  map[string]string{"bench": "gcc", "exp": "table2"},
+		Sizes:   &Sizes{Warmup: 10000, Measure: 30000, FuncWarmup: 20000, FuncMeasure: 60000, Segments: 1},
+		Seeds:   map[string]int64{"gzip": 101, "vpr": 202},
+		Results: map[string]json.RawMessage{"table2": json.RawMessage(`{"Rows":[{"Bench":"gzip","MispPer1K":6.6}]}`)},
+		Jobs: []Job{
+			{Key: "timing|gzip", Kind: "timing", Bench: "gzip", Run: &metrics.Run{Cycles: 71121, Retired: 30001, Mispredicts: 51}},
+			{Key: "functional|vpr", Kind: "functional", Bench: "vpr", Cached: true, Hits: 2,
+				Confusion: &metrics.Confusion{CorrectHigh: 9, WrongLow: 4}},
+		},
+		Runner: &runner.LiveStats{JobsStarted: 72, JobsDone: 72, Workers: 2, SweepDone: 72, SweepTotal: 72},
+		Cache:  &CacheStats{Hits: 0, Misses: 72},
+		Notes:  map[string]string{"quick": "true"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("manifest with profiles mangled:\n got %+v\nwant %+v", got, want)
+	}
+	if err := got.Validate(); err != nil {
+		t.Errorf("Validate: %v", err)
 	}
 }

@@ -45,8 +45,8 @@ func TestParseRealCPUProfile(t *testing.T) {
 	if !hasCPU {
 		t.Errorf("sample types %+v missing cpu/nanoseconds", p.SampleTypes)
 	}
-	if p.Unit() != "nanoseconds" {
-		t.Errorf("Unit = %q, want nanoseconds (the cpu column)", p.Unit())
+	if u := p.SampleTypes[p.sampleIndex()].Unit; u != "nanoseconds" {
+		t.Errorf("attributed unit = %q, want nanoseconds (the cpu column)", u)
 	}
 	// 300ms of spinning at 100Hz yields samples on any but a absurdly
 	// overloaded machine; verify the stacks symbolized.
@@ -157,8 +157,8 @@ func TestEncodeParseRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("Parse(%s) = %+v, want %+v", name, got, want)
 		}
-		if got.Total() != 60_000_000 || got.Unit() != "nanoseconds" {
-			t.Errorf("Parse(%s): Total = %d %s, want 60000000 nanoseconds", name, got.Total(), got.Unit())
+		if u := got.SampleTypes[got.sampleIndex()].Unit; got.Total() != 60_000_000 || u != "nanoseconds" {
+			t.Errorf("Parse(%s): Total = %d %s, want 60000000 nanoseconds", name, got.Total(), u)
 		}
 	}
 }
@@ -181,8 +181,8 @@ func TestParseRealHeapProfile(t *testing.T) {
 	if !hasInuse {
 		t.Errorf("sample types %+v missing inuse_space/bytes", p.SampleTypes)
 	}
-	if p.Unit() != "bytes" {
-		t.Errorf("Unit = %q, want bytes (heap default column)", p.Unit())
+	if u := p.SampleTypes[p.sampleIndex()].Unit; u != "bytes" {
+		t.Errorf("attributed unit = %q, want bytes (heap default column)", u)
 	}
 }
 

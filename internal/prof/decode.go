@@ -24,8 +24,8 @@ import (
 // Every other field is skipped. Mappings, file names and line numbers
 // add nothing for profiles of Go binaries the repo built itself,
 // whose function table is already symbolized; labels, timestamps,
-// periods and comments have no reader (Aggregate and Diff work on
-// function names and sample values only).
+// periods and comments have no reader (Aggregate works on function
+// names and sample values only).
 
 // Decode limits: a hostile or corrupt profile must fail fast, not
 // allocate unboundedly. Real profiles here are 10KB-2MB.

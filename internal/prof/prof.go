@@ -1,19 +1,16 @@
-// Package prof profiles a process and explains where its CPU went. A
-// binary run with -profile-dir records one CPU profile spanning the
-// whole process plus a heap snapshot at exit into a content-addressed
-// ring (Enable, Ring); manifests keep only the digests. The rest of
-// the package parses the pprof protobuf format and diffs two profiles
-// into per-function flat/cum deltas, so a manifest regression can name
-// the symbols responsible.
+// Package prof parses pprof profiles and folds them into per-function
+// flat/cum totals. The benchmark harness (benchmark/) reads the CPU
+// profile of its traced phase through Parse, Aggregate and Total to
+// report each simulator layer's share of host CPU.
 //
 // The package is dependency-free by construction: the pprof wire
 // format is hand-decoded (decode.go) against the stable profile.proto
 // field numbers, so no protobuf runtime is linked. The in-memory model
-// below keeps only what Aggregate and Diff read: locations are
-// resolved to function names at parse time, and mappings, line
-// numbers, labels and timestamps are dropped. Ad-hoc work beyond that
-// (merging several profiles, -diff_base views, flame graphs) is what
-// `go tool pprof` is for; it reads the ring's files directly.
+// below keeps only what Aggregate reads: locations are resolved to
+// function names at parse time, and mappings, line numbers, labels and
+// timestamps are dropped. Recording, merging and diffing profiles
+// (-diff_base, flame graphs) is what `go tool pprof` is for; see
+// docs/observability.md "Profiling".
 package prof
 
 // ValueType describes one sample-value dimension, e.g.
@@ -86,14 +83,4 @@ func (p *Profile) Total() int64 {
 		}
 	}
 	return t
-}
-
-// Unit returns the unit of the attributed value column ("" if the
-// profile has no sample types).
-func (p *Profile) Unit() string {
-	idx := p.sampleIndex()
-	if idx < 0 {
-		return ""
-	}
-	return p.SampleTypes[idx].Unit
 }

@@ -27,8 +27,6 @@
 package bce
 
 import (
-	"io"
-
 	"bce/internal/confidence"
 	"bce/internal/config"
 	"bce/internal/core"
@@ -71,7 +69,7 @@ type (
 	// Histogram is a fixed-bin histogram (density figures).
 	Histogram = metrics.Histogram
 
-	// Uop is one micro-operation of the trace format.
+	// Uop is one micro-operation of a uop stream.
 	Uop = trace.Uop
 	// Profile describes a synthetic benchmark.
 	Profile = workload.Profile
@@ -280,27 +278,14 @@ func AverageConfusion(mkEst func() Estimator, warmup, measure uint64) (Confusion
 	return core.AverageConfusion(nil, func() confidence.Estimator { return mkEst() }, warmup, measure)
 }
 
-// Trace recording and replay. Traces written with NewTraceWriter (or
-// the bcetrace command) can be replayed through the full timing model
-// with NewReplaySimulation — the path for running workloads other than
-// the built-in synthetic benchmarks.
+// Trace replay. Any uop stream — a recording held in memory, or a
+// caller's own decoder over its own trace format — can be run through
+// the full timing model with NewReplaySimulation: the path for running
+// workloads other than the built-in synthetic benchmarks.
 type (
-	// TraceReader decodes .bcet binary traces.
-	TraceReader = trace.Reader
-	// TraceWriter encodes .bcet binary traces.
-	TraceWriter = trace.Writer
-	// TraceSource is any uop stream (generators, readers, replays).
+	// TraceSource is any uop stream (generators, replays).
 	TraceSource = trace.Source
 )
-
-// NewTraceReader returns a reader decoding the BCET binary format.
-func NewTraceReader(r io.Reader) *TraceReader { return trace.NewReader(r) }
-
-// NewTraceWriter returns a writer encoding the BCET binary format.
-// Call its Close method when the trace is complete: it seals the
-// stream with a CRC32 integrity footer that lets readers distinguish
-// a whole trace from a truncated one.
-func NewTraceWriter(w io.Writer) *TraceWriter { return trace.NewWriter(w) }
 
 // NewReplaySimulation builds a timing simulation over a recorded
 // trace: the recording supplies the correct path (looping if shorter

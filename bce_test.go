@@ -1,8 +1,9 @@
 package bce
 
 import (
-	"bytes"
 	"testing"
+
+	"bce/internal/trace"
 )
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -128,22 +129,11 @@ func TestFacadeConstantsDistinct(t *testing.T) {
 
 func TestFacadeReplaySimulation(t *testing.T) {
 	// Record a short trace into memory, then replay it.
-	var buf bytes.Buffer
-	w := NewTraceWriter(&buf)
-	g := NewGenerator("gzip")
-	for i := 0; i < 40_000; i++ {
-		u, _ := g.Next()
-		if err := w.WriteUop(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	rec := trace.NewSliceSource(trace.Take(NewGenerator("gzip"), 40_000))
 	sim := NewReplaySimulation(SimConfig{
 		Estimator: NewCIC(0),
 		Gating:    PL(1),
-	}, NewTraceReader(bytes.NewReader(buf.Bytes())))
+	}, rec)
 	sim.Run(10_000)
 	r := sim.Run(20_000)
 	if r.Retired < 20_000 || r.RetiredBranches == 0 {

@@ -178,15 +178,18 @@ func run(ctx context.Context, bench string, uops, workers int, cacheDir string, 
 		MispPer1K, Target float64
 	}
 	var calRows []calRow
+	// A benchmark with no mispredictions in a short measured span has
+	// ratio 0, whose inverse is +Inf: it is named on the summary line
+	// instead of entering worst.
+	var unmeasured []string
 	for i, name := range workload.Names() {
 		rate := rates[i]
 		target := workload.Table2Target[name]
 		ratio := rate / target
-		if ratio > worst {
-			worst = ratio
-		}
-		if 1/ratio > worst {
-			worst = 1 / ratio
+		if ratio == 0 {
+			unmeasured = append(unmeasured, name)
+		} else {
+			worst = max(worst, ratio, 1/ratio)
 		}
 		fmt.Printf("%-9s %10.2f %10.2f %7.2fx\n", name, rate, target, ratio)
 		calRows = append(calRows, calRow{Bench: name, MispPer1K: rate, Target: target})
@@ -197,7 +200,11 @@ func run(ctx context.Context, bench string, uops, workers int, cacheDir string, 
 			})
 		}
 	}
-	fmt.Printf("\nworst deviation: %.2fx (calibration keeps every benchmark within 2x)\n", worst)
+	fmt.Printf("\nworst deviation: %.2fx (calibration keeps every benchmark within 2x)", worst)
+	if len(unmeasured) > 0 {
+		fmt.Printf("; no mispredictions measured for %s", strings.Join(unmeasured, ", "))
+	}
+	fmt.Println()
 	if mb != nil {
 		if err := mb.AddResult("calibration", map[string]any{
 			"Rows": calRows, "WorstRatio": worst,

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"bce/internal/manifest"
 	"bce/internal/predictor"
 	"bce/internal/workload"
 )
@@ -106,5 +110,35 @@ func TestMeasuredSpanBoundaries(t *testing.T) {
 		if got != want {
 			t.Errorf("warm %d, uops %d: %+v branches, uop walk %+v", warm, uops, got, want)
 		}
+	}
+}
+
+// TestShortRunWithoutMispredictions runs a measured span short enough
+// that gap mispredicts nothing: its ratio is 0, so it must be named on
+// the summary line instead of turning the worst deviation into +Inf,
+// and the manifest must still encode.
+func TestShortRunWithoutMispredictions(t *testing.T) {
+	out, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = out
+	mb := manifest.NewBuilder("bcecal", []string{"-uops", "20000"})
+	err = run(context.Background(), "", 20_000, 1, "", false, mb)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mb.WriteFile(filepath.Join(t.TempDir(), "cal.json"), 0, 0); err != nil {
+		t.Fatalf("manifest: %v", err)
+	}
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := string(printed); strings.Contains(s, "Inf") || strings.Contains(s, "NaN") ||
+		!strings.Contains(s, "no mispredictions measured for gap\n") {
+		t.Errorf("summary:\n%s", s)
 	}
 }

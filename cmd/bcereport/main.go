@@ -6,7 +6,6 @@
 //
 //	bcereport run.json                      # text scorecard on stdout
 //	bcereport -json FIDELITY.json run.json  # canonical scorecard JSON
-//	bcereport -html report.html run.json    # self-contained dashboard
 //	bcereport -baseline FIDELITY.json run.json  # gate: fail on drift
 //	bcereport -compare old.json new.json    # diff two manifests
 //
@@ -36,7 +35,6 @@ import (
 func main() {
 	var (
 		jsonOut  = flag.String("json", "", "write the canonical scorecard JSON to this file")
-		htmlOut  = flag.String("html", "", "write the self-contained HTML dashboard to this file")
 		baseline = flag.String("baseline", "", "scorecard JSON to gate against: exit 1 if any metric drifts beyond -tol")
 		compare  = flag.Bool("compare", false, "diff two manifests (old new) instead of rendering a scorecard")
 		tol      = flag.Float64("tol", 1e-9, "drift tolerance in the metric's own unit (simulations are deterministic, so near-zero is exact)")
@@ -57,13 +55,13 @@ func main() {
 		fmt.Println(telemetry.BuildInfoLine())
 		return
 	}
-	if err := run(flag.Args(), *jsonOut, *htmlOut, *baseline, *compare, *tol, *quiet); err != nil {
+	if err := run(flag.Args(), *jsonOut, *baseline, *compare, *tol, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "bcereport:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, jsonOut, htmlOut, baseline string, compare bool, tol float64, quiet bool) error {
+func run(args []string, jsonOut, baseline string, compare bool, tol float64, quiet bool) error {
 	if compare {
 		if len(args) != 2 {
 			return fmt.Errorf("-compare takes exactly two manifests (old new), got %d", len(args))
@@ -119,12 +117,6 @@ func run(args []string, jsonOut, htmlOut, baseline string, compare bool, tol flo
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "bcereport: scorecard JSON written to %s\n", jsonOut)
-	}
-	if htmlOut != "" {
-		if err := os.WriteFile(htmlOut, []byte(report.WriteHTML(sc, manifests...)), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "bcereport: dashboard written to %s\n", htmlOut)
 	}
 	if baseline != "" {
 		base, err := report.LoadScorecard(baseline)

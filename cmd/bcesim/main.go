@@ -11,7 +11,6 @@
 //	bcesim -bench twolf -estimator cic -lambda -75 -reversal 50 -pl 2
 //	bcesim -bench gcc -estimator jrs -lambda 15 -pl 2
 //	bcesim -bench vpr -perfect
-//	bcesim -replay gzip.bcet -estimator cic -pl 1
 //
 // Observability (see docs/observability.md):
 //
@@ -38,14 +37,12 @@ import (
 	"bce/internal/predictor"
 	"bce/internal/runner"
 	"bce/internal/telemetry"
-	"bce/internal/trace"
 	"bce/internal/workload"
 )
 
 func main() {
 	var (
 		bench     = flag.String("bench", "gzip", "benchmark name, comma-separated list, or \"all\" (gzip, vpr, gcc, mcf, crafty, link, eon, perlbmk, gap, vortex, bzip, twolf)")
-		replayIn  = flag.String("replay", "", "replay a recorded .bcet trace instead of a synthetic benchmark")
 		machine   = flag.String("machine", "40c4w", "machine model (40c4w, 20c4w, 20c8w)")
 		predName  = flag.String("predictor", "bimodal-gshare", "branch predictor (bimodal-gshare, gshare-perceptron)")
 		estName   = flag.String("estimator", "none", "confidence estimator (none, cic, tnt, jrs, pattern)")
@@ -58,8 +55,8 @@ func main() {
 		perfect   = flag.Bool("perfect", false, "oracle branch prediction")
 		workers   = flag.Int("workers", 0, "parallel simulations for multi-benchmark runs (0 = GOMAXPROCS)")
 		progress  = flag.Bool("progress", false, "report multi-benchmark progress and ETA on stderr")
-		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON timeline of the measured span (open in Perfetto or chrome://tracing; single benchmark or -replay only)")
-		auditOut  = flag.String("audit", "", "write the per-branch-PC confidence audit CSV (single benchmark or -replay only)")
+		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON timeline of the measured span (open in Perfetto or chrome://tracing; single benchmark only)")
+		auditOut  = flag.String("audit", "", "write the per-branch-PC confidence audit CSV (single benchmark only)")
 		stats     = flag.Bool("stats", false, "print the telemetry counter/histogram registry after the run")
 		debugAddr = flag.String("debug-addr", "", "serve pprof + expvar + live sweep stats on this address (e.g. localhost:6060)")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
@@ -75,7 +72,6 @@ func main() {
 	logger = logger.With("bin", "bcesim")
 	slog.SetDefault(logger)
 	telemetry.RegisterBuildLabel("revision", manifest.ShortRevision())
-	telemetry.RegisterBuildLabel("trace_format", fmt.Sprint(trace.FormatVersion))
 	if *version {
 		fmt.Println(telemetry.BuildInfoLine())
 		return
@@ -103,7 +99,7 @@ func main() {
 	// a second kills the process.
 	ctx, stop := runner.ShutdownContext(context.Background())
 	defer stop()
-	if err := run(ctx, *bench, *replayIn, cfg, *workers, *progress); err != nil {
+	if err := run(ctx, *bench, cfg, *workers, *progress); err != nil {
 		if errors.Is(err, context.Canceled) {
 			ls := runner.LiveSnapshot()
 			fmt.Fprintf(os.Stderr, "bcesim: interrupted: %d simulations finished before shutdown\n", ls.JobsDone)
@@ -130,21 +126,13 @@ type simConfig struct {
 
 func (c simConfig) wantsSinks() bool { return c.tracePath != "" || c.auditPath != "" }
 
-func run(ctx context.Context, bench, replayIn string, cfg simConfig, workers int, progress bool) error {
-	if replayIn != "" {
-		report, err := simTrace(replayIn, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(report)
-		return nil
-	}
+func run(ctx context.Context, bench string, cfg simConfig, workers int, progress bool) error {
 	benches, err := parseBenches(bench)
 	if err != nil {
 		return err
 	}
 	if len(benches) > 1 && cfg.wantsSinks() {
-		return fmt.Errorf("-trace/-audit need a single benchmark or -replay (got %d benchmarks)", len(benches))
+		return fmt.Errorf("-trace/-audit need a single benchmark (got %d benchmarks)", len(benches))
 	}
 	if len(benches) == 1 {
 		report, err := simBench(benches[0], cfg)
@@ -313,36 +301,6 @@ func simBench(bench string, cfg simConfig) (string, error) {
 	out, err := report(sim, bench, cfg, useReversal)
 	if err != nil {
 		return "", err
-	}
-	return out, sinks.finish()
-}
-
-func simTrace(replayIn string, cfg simConfig) (string, error) {
-	opt, useReversal, err := makeOptions(cfg)
-	if err != nil {
-		return "", err
-	}
-	f, err := os.Open(replayIn)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	sinks, err := openSinks(cfg)
-	if err != nil {
-		return "", err
-	}
-	opt.Sink = sinks.sink
-	replay := workload.NewReplay(trace.NewReader(f))
-	sim := pipeline.NewFromSource(opt, replay, replay.WrongPath(1))
-	out, err := report(sim, replayIn, cfg, useReversal)
-	if err != nil {
-		return "", err
-	}
-	// A corrupt recording ends the reader mid-stream and Replay loops
-	// its truncated prefix; the run "succeeds" on garbage. Surface the
-	// decode error (with record index and PC context) instead.
-	if err := replay.Err(); err != nil {
-		return "", fmt.Errorf("replaying %s: %w", replayIn, err)
 	}
 	return out, sinks.finish()
 }

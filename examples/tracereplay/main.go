@@ -1,34 +1,39 @@
-// Tracereplay records a benchmark into the BCET binary trace format
-// and replays it through the full timing model — the workflow for
-// running your own workloads: capture (or convert) a trace once, then
+// Tracereplay records a benchmark's uops into memory and replays them
+// through the full timing model — the workflow for running your own
+// workloads: feed any uop stream (here a recorded slice; in practice a
+// decoder over your own trace format) to NewReplaySimulation, then
 // sweep estimator configurations over the identical instruction
 // stream.
 package main
 
 import (
-	"bytes"
 	"fmt"
 
 	"bce"
 )
 
+// sliceSource replays a recorded slice of uops as a bce.TraceSource.
+type sliceSource struct {
+	uops []bce.Uop
+	pos  int
+}
+
+func (s *sliceSource) Next() (bce.Uop, bool) {
+	if s.pos >= len(s.uops) {
+		return bce.Uop{}, false
+	}
+	s.pos++
+	return s.uops[s.pos-1], true
+}
+
 func main() {
-	// 1. Record 300k uops of mcf into an in-memory trace (bcetrace gen
-	//    writes the same format to disk).
-	var buf bytes.Buffer
-	w := bce.NewTraceWriter(&buf)
+	// 1. Record 300k uops of mcf into memory.
 	gen := bce.NewGenerator("mcf")
-	for i := 0; i < 300_000; i++ {
-		u, _ := gen.Next()
-		if err := w.WriteUop(u); err != nil {
-			panic(err)
-		}
+	rec := make([]bce.Uop, 300_000)
+	for i := range rec {
+		rec[i], _ = gen.Next()
 	}
-	if err := w.Close(); err != nil {
-		panic(err)
-	}
-	fmt.Printf("recorded %d uops (%d bytes, %.2f bytes/uop)\n\n",
-		w.Count(), buf.Len(), float64(buf.Len())/float64(w.Count()))
+	fmt.Printf("recorded %d uops\n\n", len(rec))
 
 	// 2. Replay the identical stream under three configurations.
 	configs := []struct {
@@ -41,7 +46,7 @@ func main() {
 	}
 	var base bce.Run
 	for i, c := range configs {
-		sim := bce.NewReplaySimulation(c.cfg, bce.NewTraceReader(bytes.NewReader(buf.Bytes())))
+		sim := bce.NewReplaySimulation(c.cfg, &sliceSource{uops: rec})
 		sim.Run(50_000)
 		r := sim.Run(150_000)
 		if i == 0 {

@@ -8,84 +8,13 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"bce/internal/pipeline"
 	"bce/internal/runner"
-	"bce/internal/trace"
 	"bce/internal/workload"
 )
-
-// encodeTrace builds a small valid trace stream.
-func encodeTrace(t *testing.T, n int) []byte {
-	t.Helper()
-	prof, err := workload.ByName("gzip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := workload.New(prof)
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	for i := 0; i < n; i++ {
-		u, _ := gen.Next()
-		if err := w.WriteUop(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func drain(r *trace.Reader) error {
-	for {
-		if _, err := r.ReadUop(); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return err
-		}
-	}
-}
-
-// A single flipped payload bit anywhere in the stream must surface as
-// trace.ErrCorrupt, never as silently wrong uops.
-func TestChaosTraceBitFlip(t *testing.T) {
-	raw := encodeTrace(t, 200)
-	// Flip a bit in every eighth byte position past the header, one
-	// trial per position: whole-stream coverage would be slow, this is
-	// a dense sample.
-	for off := int64(8); off < int64(len(raw)); off += 8 {
-		r := trace.NewReader(NewFlipReader(bytes.NewReader(raw), off, 0x10))
-		if err := drain(r); !errors.Is(err, trace.ErrCorrupt) {
-			t.Fatalf("flip at %d: err = %v, want ErrCorrupt", off, err)
-		}
-	}
-}
-
-// A stream cut short by a crash must read as ErrCorrupt (missing
-// integrity footer), not as a shorter-but-valid trace.
-func TestChaosTraceTruncation(t *testing.T) {
-	raw := encodeTrace(t, 200)
-	for _, cut := range []int64{int64(len(raw)) - 3, int64(len(raw)) / 2, 20} {
-		tr := NewTruncateReader(bytes.NewReader(raw), cut)
-		r := trace.NewReader(tr)
-		err := drain(r)
-		if !errors.Is(err, trace.ErrCorrupt) {
-			t.Fatalf("cut at %d: err = %v, want ErrCorrupt", cut, err)
-		}
-		if !tr.Truncated() {
-			t.Fatalf("cut at %d never engaged", cut)
-		}
-		// The diagnostic must carry replay context.
-		if !strings.Contains(err.Error(), "record ") || !strings.Contains(err.Error(), "byte offset") {
-			t.Fatalf("cut at %d: diagnostic lacks context: %v", cut, err)
-		}
-	}
-}
 
 // A hung simulation inside a sweep must die by watchdog, and the
 // sweep's error must expose the structured diagnostic through the
@@ -304,7 +233,7 @@ func TestChaosStoreCorruption(t *testing.T) {
 	}
 }
 
-// FlipReader and TruncateReader must behave as documented on plain
+// FlipReader must behave as documented on plain
 // byte streams (unit sanity for the harness itself).
 func TestHarnessReaders(t *testing.T) {
 	src := []byte{0, 1, 2, 3, 4, 5, 6, 7}
@@ -319,15 +248,6 @@ func TestHarnessReaders(t *testing.T) {
 		if i != 3 && b != src[i] {
 			t.Errorf("byte %d collateral damage: %#x", i, b)
 		}
-	}
-
-	trunc := NewTruncateReader(bytes.NewReader(src), 5)
-	out, err = io.ReadAll(trunc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 5 || !trunc.Truncated() {
-		t.Errorf("truncated read = %d bytes (engaged %v), want 5/true", len(out), trunc.Truncated())
 	}
 
 	inj := NewInjector(2)

@@ -2,7 +2,7 @@
 // suite: deliberately broken io.Readers, cache-store corruptors, and
 // countdown injectors for induced failures, panics and hangs. The
 // production packages never import it; tests use it to prove the
-// robustness machinery — trace CRC validation, store quarantine,
+// robustness machinery — store quarantine, wire content digests,
 // bounded retry, per-job deadlines, the pipeline watchdog — actually
 // degrades gracefully instead of merely existing.
 package faults
@@ -56,44 +56,6 @@ func (f *FlipReader) Read(p []byte) (int, error) {
 	f.pos += int64(n)
 	return n, err
 }
-
-// TruncateReader wraps r and reports a clean EOF after n bytes,
-// simulating a file cut short by a crash or a full disk. Unlike
-// io.LimitReader it is explicit about intent and keeps a Truncated
-// flag for tests to assert the cut actually happened.
-type TruncateReader struct {
-	r         io.Reader
-	remaining int64
-	truncated bool
-}
-
-// NewTruncateReader returns a reader that ends the stream after n
-// bytes.
-func NewTruncateReader(r io.Reader, n int64) *TruncateReader {
-	return &TruncateReader{r: r, remaining: n}
-}
-
-// Read implements io.Reader.
-func (t *TruncateReader) Read(p []byte) (int, error) {
-	if t.remaining <= 0 {
-		t.truncated = true
-		return 0, io.EOF
-	}
-	if int64(len(p)) > t.remaining {
-		p = p[:t.remaining]
-	}
-	n, err := t.r.Read(p)
-	t.remaining -= int64(n)
-	if err == io.EOF && t.remaining > 0 {
-		// The underlying stream was shorter than the cut; the
-		// truncation never engaged.
-		return n, err
-	}
-	return n, err
-}
-
-// Truncated reports whether the artificial cut was reached.
-func (t *TruncateReader) Truncated() bool { return t.truncated }
 
 // CorruptDirEntry corrupts one stored cache entry in a runner.DirStore
 // directory by truncating it mid-JSON, returning the victim's path.

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -354,20 +353,7 @@ func BenchmarkPipeline40c4w(b *testing.B) {
 func TestReplayedTraceSimulation(t *testing.T) {
 	// Record a trace, replay it through the pipeline via the generic
 	// source interface, and compare against the live-generator run.
-	g := gen(t, "gzip")
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	for i := 0; i < 120_000; i++ {
-		u, _ := g.Next()
-		if err := w.WriteUop(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	replay := workload.NewReplay(trace.NewReader(bytes.NewReader(buf.Bytes())))
+	replay := workload.NewReplay(trace.NewSliceSource(trace.Take(gen(t, "gzip"), 120_000)))
 	sim := NewFromSource(Options{Estimator: confidence.NewCIC(0), Gating: gating.PL(1)},
 		replay, replay.WrongPath(1))
 	sim.Run(20_000)

@@ -1,9 +1,8 @@
 // Package report turns run manifests into the paper-fidelity
 // scorecard: every reproduced metric next to its published HPCA 2004
 // value, with bootstrap confidence intervals where per-benchmark
-// samples exist, rendered as text, canonical JSON and a self-contained
-// HTML dashboard. It also diffs two runs for metric drift (the CI
-// fidelity gate).
+// samples exist, rendered as text and canonical JSON. It also diffs
+// two runs for metric drift (the CI fidelity gate).
 //
 // The package reads manifests only — it never imports the experiment
 // engine. Result payloads are decoded through mirror structs that

@@ -196,29 +196,3 @@ func TestCompareScorecards(t *testing.T) {
 		t.Error("empty drift list renders nothing")
 	}
 }
-
-func TestWriteHTML(t *testing.T) {
-	m := fixtureManifest(t)
-	sc, err := Build(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	page := WriteHTML(sc, m)
-	for _, want := range []string{
-		"<!doctype html>",
-		"PVN vs. coverage",           // table3 curve rendered
-		"Gating trade-off",           // table4 curve rendered
-		"stroke-dasharray",           // paper series dashed
-		"<title>JRS λ=3: PVN 35%",    // point tooltip
-		"prefers-color-scheme: dark", // dark palette present
-		"gzip_misp_per_kuop",         // table view
-		"class=\"legend\"",           // legend for multi-series charts
-	} {
-		if !strings.Contains(page, want) {
-			t.Errorf("HTML missing %q", want)
-		}
-	}
-	if strings.Contains(page, "<script") {
-		t.Error("dashboard must be script-free (self-contained static artifact)")
-	}
-}

@@ -1,6 +1,6 @@
 // Package trace defines the micro-operation (uop) record that flows
-// through every component of the simulator, plus a compact binary codec
-// so traces can be stored, replayed and inspected offline.
+// through every component of the simulator, and the Source interface
+// every uop stream implements.
 //
 // The simulator is uop-based, mirroring the paper's IA32 uop-level
 // methodology: every metric in the paper (mispredicts per 1000 uops,
@@ -61,9 +61,6 @@ func (k Kind) String() string {
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
-
-// Valid reports whether k is one of the defined kinds.
-func (k Kind) Valid() bool { return k < numKinds }
 
 // IsBranch reports whether the kind is any control-flow transfer.
 func (k Kind) IsBranch() bool { return k >= CondBranch && k <= Ret }
@@ -136,7 +133,7 @@ func (u Uop) String() string {
 }
 
 // Source produces a stream of uops. Implementations include the
-// synthetic workload generators and file-backed trace readers.
+// synthetic workload generators, workload.Replay and SliceSource.
 //
 // Next returns the next uop; ok is false when the stream is exhausted
 // (generators are infinite and always return ok=true).

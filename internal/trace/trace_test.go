@@ -36,12 +36,6 @@ func TestKindPredicates(t *testing.T) {
 		if got := k.IsFP(); got != (k == FP || k == FPDiv) {
 			t.Errorf("%v.IsFP() = %v", k, got)
 		}
-		if !k.Valid() {
-			t.Errorf("%v.Valid() = false", k)
-		}
-	}
-	if Kind(numKinds).Valid() {
-		t.Error("Kind(numKinds).Valid() = true")
 	}
 }
 

@@ -2,12 +2,12 @@ package workload
 
 import "bce/internal/trace"
 
-// Replay adapts a recorded trace (any trace.Source, typically a
-// trace.Reader over a .bcet file) for the timing pipeline: it loops
-// the recorded uops when the recording is shorter than the requested
-// run, and builds an incremental PC index so the paired Synthetic
-// wrong-path source can resume real recorded code at a mispredicted
-// branch's target.
+// Replay adapts a recorded uop stream (any trace.Source, such as a
+// trace.SliceSource over a caller's own uops) for the timing pipeline:
+// it loops the recorded uops when the recording is shorter than the
+// requested run, and builds an incremental PC index so the paired
+// Synthetic wrong-path source can resume real recorded code at a
+// mispredicted branch's target.
 type Replay struct {
 	src     trace.Source
 	buf     []trace.Uop
@@ -51,18 +51,6 @@ func (r *Replay) Next() (trace.Uop, bool) {
 
 // Recorded returns the number of distinct uops buffered so far.
 func (r *Replay) Recorded() int { return len(r.buf) }
-
-// Err surfaces the underlying source's terminal error when the source
-// exposes one (trace.Reader does). A recorded trace that ends in a
-// decode error would otherwise silently loop its truncated prefix —
-// callers should check Err after a replayed run and treat a non-nil
-// result as a corrupt input, not a short one.
-func (r *Replay) Err() error {
-	if e, ok := r.src.(interface{ Err() error }); ok {
-		return e.Err()
-	}
-	return nil
-}
 
 // WrongPath returns a wrong-path synthesizer over the replayed code:
 // targets that match recorded PCs resume the recording from there

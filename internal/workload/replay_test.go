@@ -1,27 +1,15 @@
 package workload
 
 import (
-	"bytes"
 	"testing"
 
 	"bce/internal/trace"
 )
 
-func recordTrace(t *testing.T, bench string, n int) *trace.Reader {
+// recordTrace records the first n uops of a benchmark into memory.
+func recordTrace(t *testing.T, bench string, n int) *trace.SliceSource {
 	t.Helper()
-	g := New(mustProfile(t, bench))
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	for i := 0; i < n; i++ {
-		u, _ := g.Next()
-		if err := w.WriteUop(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return trace.NewReader(bytes.NewReader(buf.Bytes()))
+	return trace.NewSliceSource(trace.Take(New(mustProfile(t, bench)), n))
 }
 
 func TestReplayMatchesRecording(t *testing.T) {
@@ -126,7 +114,7 @@ func TestSyntheticWrongPathUnseenTarget(t *testing.T) {
 	kinds := map[trace.Kind]int{}
 	for i := 0; i < 1000; i++ {
 		u, ok := wp.Next()
-		if !ok || !u.Kind.Valid() {
+		if !ok || u.Kind > trace.Ret {
 			t.Fatal("synthetic mix broke")
 		}
 		kinds[u.Kind]++

@@ -53,7 +53,7 @@ func TestGeneratorUopValidity(t *testing.T) {
 	g := New(mustProfile(t, "mcf"))
 	for i := 0; i < 30000; i++ {
 		u, _ := g.Next()
-		if !u.Kind.Valid() {
+		if u.Kind > trace.Ret {
 			t.Fatalf("invalid kind at %d: %v", i, u)
 		}
 		if u.Kind.IsMem() && u.Addr == 0 {
@@ -309,7 +309,7 @@ func TestWrongPath(t *testing.T) {
 	}
 	for i := 0; i < 5000; i++ {
 		u, ok := w.Next()
-		if !ok || !u.Kind.Valid() {
+		if !ok || u.Kind > trace.Ret {
 			t.Fatal("wrong path ended or invalid")
 		}
 	}

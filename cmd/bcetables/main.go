@@ -32,7 +32,6 @@ import (
 	"os"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"bce/internal/config"
@@ -44,11 +43,6 @@ import (
 	"bce/internal/telemetry"
 	"bce/internal/workload"
 )
-
-// coordMon holds the live coordinator once a distributed sweep starts.
-// The debug server's var map is registered before the coordinator
-// exists, so the bce_breakers var samples through this holder.
-var coordMon atomic.Pointer[dist.Coordinator]
 
 // workloadSeeds maps every benchmark to its deterministic base seed,
 // recorded in run manifests so a result can be traced to its exact
@@ -74,8 +68,6 @@ func main() {
 		progress   = flag.Bool("progress", false, "report per-sweep progress and ETA on stderr")
 		cacheDir   = flag.String("cache", "", "directory for the on-disk timing-result cache (empty = in-memory only)")
 		resume     = flag.Bool("resume", false, "replay the checkpoint journal from a killed run (needs -cache); completed simulations are not re-run and merged output is identical to an uninterrupted run")
-		jobTimeout = flag.Duration("job-timeout", 0, "per-simulation deadline (0 = none); timed-out jobs are retried per -retries")
-		retries    = flag.Int("retries", 0, "retries per job for transient failures, with exponential backoff")
 		debugAddr  = flag.String("debug-addr", "", "serve pprof + expvar + live sweep stats on this address (e.g. localhost:6060); Prometheus text format on /metrics")
 		manifestTo = flag.String("manifest", "", "write a run manifest (provenance + per-job results) to this file")
 		remote     = flag.String("workers-remote", "", "comma-separated bceworker base URLs (e.g. http://127.0.0.1:8371); shard the sweep's timing simulations across them, then aggregate locally — output is byte-identical to a single-process run")
@@ -108,12 +100,6 @@ func main() {
 				return map[string]uint64{"hits": hits, "misses": misses}
 			},
 			"bce_dist": func() any { return dist.Snapshot() },
-			"bce_breakers": func() any {
-				if c := coordMon.Load(); c != nil {
-					return c.Breakers()
-				}
-				return nil
-			},
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bcetables:", err)
@@ -124,8 +110,6 @@ func main() {
 	}
 
 	core.SetParallelism(*workers)
-	core.SetJobTimeout(*jobTimeout)
-	core.SetRetries(*retries, 100*time.Millisecond)
 	if *progress {
 		core.SetProgress(func(p runner.Progress) {
 			fmt.Fprintf(os.Stderr, "bcetables: %d/%d jobs, elapsed %s, eta %s\n",
@@ -203,7 +187,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bcetables: -workers-remote lists no worker URLs")
 			os.Exit(2)
 		}
-		if err := distribute(ctx, urls, *exp, *bench, *csv, sz, mb, *distBatch, *jobTimeout); err != nil {
+		if err := distribute(ctx, urls, *exp, *bench, *csv, sz, mb, *distBatch); err != nil {
 			fail(err)
 		}
 	}
@@ -233,7 +217,7 @@ func main() {
 func interrupted() {
 	ls := runner.LiveSnapshot()
 	slog.Warn("interrupted before completion",
-		"finished", ls.JobsDone, "cached", ls.JobsCached, "retried", ls.JobsRetried)
+		"finished", ls.JobsDone, "cached", ls.JobsCached)
 	if path := core.CheckpointPath(); path != "" {
 		slog.Info("completed work is checkpointed; rerun with -resume to continue", "path", path)
 	}
@@ -256,17 +240,15 @@ func splitList(s string) []string {
 // dispatch, and inject every remote result into the local cache (and
 // any attached store/journal) under its cache key. Jobs whose results
 // are already stored — a resumed coordinator — are excluded from the
-// plan, so only missing work is dispatched. -retries is the runner's
-// per-job budget and is not forwarded: the coordinator keeps its own
-// default for in-place batch retries.
+// plan, so only missing work is dispatched: a sweep that failed on a
+// worker finishes with -resume.
 func distribute(ctx context.Context, urls []string, exp, bench string, csv bool,
-	sz core.Sizes, mb *manifest.Builder, batch int, jobTimeout time.Duration) error {
+	sz core.Sizes, mb *manifest.Builder, batch int) error {
 	log := slog.Default().With("component", "coordinator")
 	coord, err := dist.NewCoordinator(dist.Options{
-		Workers:    urls,
-		BatchSize:  batch,
-		JobTimeout: jobTimeout,
-		Logger:     log,
+		Workers:   urls,
+		BatchSize: batch,
+		Logger:    log,
 		OnResult: func(worker string, job dist.Job, run metrics.Run) {
 			core.InjectResult(job.Key, run)
 			if mb != nil {
@@ -281,8 +263,6 @@ func distribute(ctx context.Context, urls []string, exp, bench string, csv bool,
 	if err != nil {
 		return err
 	}
-	coordMon.Store(coord)
-	defer coordMon.Store(nil)
 	if err := coord.Ping(ctx); err != nil {
 		return err
 	}

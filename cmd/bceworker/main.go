@@ -9,10 +9,10 @@
 //	bceworker -addr 127.0.0.1:8371 -debug-addr localhost:6061
 //
 // A worker is stateless between batches apart from its result cache:
-// killing one mid-sweep loses only in-flight work, and the coordinator
-// requeues the unfinished batch for the surviving workers. Re-delivered
-// jobs whose results are already in the worker's cache are served, not
-// re-simulated.
+// killing one mid-sweep loses only in-flight work, fails the sweep,
+// and a resumed sweep (bcetables -resume) dispatches the unfinished
+// jobs to the surviving workers. Jobs sent again whose results are
+// already in the worker's cache are served, not re-simulated.
 //
 // The API port also answers /healthz (liveness), /readyz (flips to 503
 // once shutdown begins, so health checkers stop routing to a draining

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"bce/internal/confidence"
 	"bce/internal/metrics"
@@ -28,9 +27,6 @@ var (
 	execWorkers  int // 0 = runtime.GOMAXPROCS
 	execProgress func(runner.Progress)
 	execCtx      context.Context
-	execTimeout  time.Duration
-	execRetries  int
-	execBackoff  time.Duration
 
 	execDirStore *runner.DirStore
 	execJournal  *runner.Journal
@@ -58,20 +54,6 @@ func SetProgress(fn func(runner.Progress)) { execProgress = fn }
 // returns the cancellation error. Nil restores context.Background().
 func SetBaseContext(ctx context.Context) { execCtx = ctx }
 
-// SetJobTimeout bounds each simulation job with a per-attempt
-// deadline; zero disables. Pair with SetRetries to reclaim and re-run
-// wedged jobs.
-func SetJobTimeout(d time.Duration) { execTimeout = d }
-
-// SetRetries configures bounded retry with exponential backoff for
-// transient job failures (runner.IsTransient). n <= 0 disables.
-func SetRetries(n int, backoff time.Duration) {
-	if n < 0 {
-		n = 0
-	}
-	execRetries, execBackoff = n, backoff
-}
-
 func baseContext() context.Context {
 	if execCtx != nil {
 		return execCtx
@@ -81,11 +63,8 @@ func baseContext() context.Context {
 
 func corePool() *runner.Pool {
 	return runner.New(runner.Options{
-		Workers:      execWorkers,
-		Progress:     execProgress,
-		JobTimeout:   execTimeout,
-		Retries:      execRetries,
-		RetryBackoff: execBackoff,
+		Workers:  execWorkers,
+		Progress: execProgress,
 	})
 }
 

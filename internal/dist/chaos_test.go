@@ -7,19 +7,18 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
 	"bce/internal/faults"
 )
 
-// transportFault names what faultyTransport does to an exec exchange
-// while its injector has trips left.
+// transportFault names what faultyTransport does to the first exec
+// exchange.
 type transportFault int
 
 const (
-	// faultReset drops the whole exchange: the connection-reset class
-	// of failure the coordinator's in-place retry exists for.
+	// faultReset drops the whole exchange, as a connection reset does.
 	faultReset transportFault = iota
 	// faultRequestFlip flips one byte of the request body after the
 	// coordinator stamped its digest, so the worker answers 409.
@@ -35,11 +34,16 @@ const (
 
 // faultyTransport injects one kind of transport fault into exec
 // exchanges while its injector has trips left, and passes everything
-// else through untouched.
+// else through untouched. It records the worker and the job keys of
+// every exchange it damaged.
 type faultyTransport struct {
 	fault  transportFault
 	inject *faults.Injector
 	next   http.RoundTripper
+
+	mu      sync.Mutex
+	worker  string
+	damaged []string
 }
 
 // replyFlipMark locates the byte the reply fault flips: the first digit
@@ -48,19 +52,18 @@ type faultyTransport struct {
 var replyFlipMark = []byte(`"Cycles":`)
 
 func (f *faultyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if !strings.HasSuffix(req.URL.Path, PathExec) {
+	if !strings.HasSuffix(req.URL.Path, PathExec) || !f.inject.Trip() {
 		return f.next.RoundTrip(req)
+	}
+	if err := f.record(req); err != nil {
+		return nil, err
 	}
 	switch f.fault {
 	case faultReset:
-		if f.inject.Trip() {
-			return nil, errors.New("injected: connection reset by peer")
-		}
+		return nil, errors.New("injected: connection reset by peer")
 	case faultRequestFlip:
-		if f.inject.Trip() {
-			req = req.Clone(req.Context())
-			req.Body = io.NopCloser(faults.NewFlipReader(req.Body, req.ContentLength/2, 0))
-		}
+		req = req.Clone(req.Context())
+		req.Body = io.NopCloser(faults.NewFlipReader(req.Body, req.ContentLength/2, 0))
 	case faultReplyFlip:
 		resp, err := f.next.RoundTrip(req)
 		if err != nil {
@@ -72,35 +75,55 @@ func (f *faultyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, err
 		}
 		var r io.Reader = bytes.NewReader(body)
-		if at := bytes.Index(body, replyFlipMark); at >= 0 && f.inject.Trip() {
+		if at := bytes.Index(body, replyFlipMark); at >= 0 {
 			r = faults.NewFlipReader(r, int64(at+len(replyFlipMark)), 0)
 		}
 		resp.Body = io.NopCloser(r)
 		return resp, nil
 	case faultBareReject:
-		if f.inject.Trip() {
-			return &http.Response{
-				Status:     "400 Bad Request",
-				StatusCode: http.StatusBadRequest,
-				Proto:      "HTTP/1.1",
-				ProtoMajor: 1,
-				ProtoMinor: 1,
-				Header:     http.Header{"Content-Type": {"text/plain; charset=utf-8"}},
-				Body:       io.NopCloser(strings.NewReader("400 Bad Request")),
-				Request:    req,
-			}, nil
-		}
+		return &http.Response{
+			Status:     "400 Bad Request",
+			StatusCode: http.StatusBadRequest,
+			Proto:      "HTTP/1.1",
+			ProtoMajor: 1,
+			ProtoMinor: 1,
+			Header:     http.Header{"Content-Type": {"text/plain; charset=utf-8"}},
+			Body:       io.NopCloser(strings.NewReader("400 Bad Request")),
+			Request:    req,
+		}, nil
 	}
 	return f.next.RoundTrip(req)
 }
 
-// TestCoordinatorSurvivesTransportFaults drives one sweep per fault
-// kind through a transport that damages the first few exec exchanges.
-// Every job must merge exactly once with the worker's own result, every
-// injected fault must fire, and the retry counter must show the faults
-// were absorbed, not ignored.
-func TestCoordinatorSurvivesTransportFaults(t *testing.T) {
-	const trips = 3
+// record notes the worker and job keys of an exchange about to be
+// damaged, read from a copy of the request body.
+func (f *faultyTransport) record(req *http.Request) error {
+	rc, err := req.GetBody()
+	if err != nil {
+		return err
+	}
+	body, err := io.ReadAll(rc)
+	if err != nil {
+		return err
+	}
+	b, err := DecodeBatch(body)
+	if err != nil {
+		return err
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.worker = req.URL.Scheme + "://" + req.URL.Host
+	for _, j := range b.Jobs {
+		f.damaged = append(f.damaged, j.Key)
+	}
+	return nil
+}
+
+// TestCoordinatorFailsOnTransportFaults drives one sweep per fault kind
+// through a transport that damages the first exec exchange. The sweep
+// must fail naming the worker, merge no job of the damaged exchange,
+// and merge every other job with the worker's own result.
+func TestCoordinatorFailsOnTransportFaults(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		fault transportFault
@@ -111,7 +134,6 @@ func TestCoordinatorSurvivesTransportFaults(t *testing.T) {
 		{"bare-400", faultBareReject},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ResetStats()
 			w1 := testWorkerServer("w1", nil)
 			defer w1.Close()
 			w2 := testWorkerServer("w2", nil)
@@ -119,40 +141,38 @@ func TestCoordinatorSurvivesTransportFaults(t *testing.T) {
 
 			jobs, keys := jobSet(t, 10)
 			sink := newMergeSink()
-			inject := faults.NewInjector(trips)
+			tr := &faultyTransport{fault: tc.fault, inject: faults.NewInjector(1), next: http.DefaultTransport}
 			coord, err := NewCoordinator(Options{
-				Workers:      []string{w1.URL, w2.URL},
-				BatchSize:    2,
-				Retries:      trips,
-				RetryBackoff: time.Millisecond,
-				Client: &http.Client{Transport: &faultyTransport{
-					fault: tc.fault, inject: inject, next: http.DefaultTransport,
-				}},
-				OnResult: sink.OnResult,
+				Workers:   []string{w1.URL, w2.URL},
+				BatchSize: 2,
+				Client:    &http.Client{Transport: tr},
+				OnResult:  sink.OnResult,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := coord.Run(context.Background(), jobs, keys); err != nil {
-				t.Fatalf("sweep must absorb %d injected faults: %v", trips, err)
+			err = coord.Run(context.Background(), jobs, keys)
+			if tr.inject.Remaining() != 0 {
+				t.Fatal("the fault never fired; the test exercised nothing")
 			}
-			if sink.len() != len(jobs) {
-				t.Errorf("merged %d of %d jobs", sink.len(), len(jobs))
+			tr.mu.Lock()
+			defer tr.mu.Unlock()
+			if err == nil || !strings.Contains(err.Error(), tr.worker) {
+				t.Fatalf("sweep through a damaged exchange: err = %v, want a failure naming %s", err, tr.worker)
+			}
+			for _, key := range tr.damaged {
+				if _, ok := sink.byKey[key]; ok {
+					t.Errorf("job %s of the damaged exchange merged", key)
+				}
 			}
 			if sink.dups != 0 {
 				t.Errorf("%d duplicate merges", sink.dups)
 			}
 			for i, key := range keys {
 				want, _ := stubExec(context.Background(), jobs[i])
-				if got := sink.byKey[key]; got != want {
+				if got, ok := sink.byKey[key]; ok && got != want {
 					t.Errorf("job %d merged %v, want the worker's %v", i, got, want)
 				}
-			}
-			if inject.Remaining() != 0 {
-				t.Errorf("only %d of %d faults fired; the test exercised nothing", trips-inject.Remaining(), trips)
-			}
-			if got := Snapshot().BatchRetries; got == 0 {
-				t.Error("BatchRetries counter not bumped despite injected faults")
 			}
 		})
 	}

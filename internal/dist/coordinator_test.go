@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,13 +10,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"bce/internal/confidence"
 	"bce/internal/config"
 	"bce/internal/core"
 	"bce/internal/metrics"
-	"bce/internal/runner"
 )
 
 // jobSet builds n distinct valid jobs (distinct CIC thresholds) plus
@@ -92,17 +89,12 @@ func testWorkerServer(name string, exec func(context.Context, core.JobSpec) (met
 }
 
 // spreadWorkers starts one stub worker per name on which every worker
-// provably merges work. Each worker's jobs wait until every worker has
-// received one, so no worker can drain the shared queue alone, and only
-// the first delivery of a batch is served: a tail hedge of a batch that
-// is already running elsewhere hangs until cancelled, so it never
-// steals a worker's first result.
+// provably merges work: each worker's jobs wait until every worker has
+// received one, so no worker can drain the shared queue alone.
 func spreadWorkers(t *testing.T, names ...string) []string {
 	t.Helper()
 	var all sync.WaitGroup
 	all.Add(len(names))
-	var mu sync.Mutex
-	delivered := map[[2]int]bool{}
 	urls := make([]string, len(names))
 	for i, name := range names {
 		var once sync.Once
@@ -111,27 +103,7 @@ func spreadWorkers(t *testing.T, names ...string) []string {
 			all.Wait()
 			return stubExec(ctx, j)
 		}
-		inner := NewWorker(WorkerOptions{Name: name, Exec: exec}).Handler()
-		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-			if req.URL.Path == PathExec {
-				body, err := io.ReadAll(req.Body)
-				if err != nil {
-					return
-				}
-				req.Body = io.NopCloser(bytes.NewReader(body))
-				if b, err := DecodeBatch(body); err == nil {
-					mu.Lock()
-					dup := delivered[[2]int{b.Shard, b.Seq}]
-					delivered[[2]int{b.Shard, b.Seq}] = true
-					mu.Unlock()
-					if dup {
-						<-req.Context().Done()
-						return
-					}
-				}
-			}
-			inner.ServeHTTP(rw, req)
-		}))
+		srv := testWorkerServer(name, exec)
 		t.Cleanup(srv.Close)
 		urls[i] = srv.URL
 	}
@@ -140,11 +112,9 @@ func spreadWorkers(t *testing.T, names ...string) []string {
 
 func fastOpts(urls []string, sink *mergeSink) Options {
 	return Options{
-		Workers:      urls,
-		BatchSize:    2,
-		Retries:      1,
-		RetryBackoff: time.Millisecond,
-		OnResult:     sink.OnResult,
+		Workers:   urls,
+		BatchSize: 2,
+		OnResult:  sink.OnResult,
 	}
 }
 
@@ -173,73 +143,125 @@ func TestCoordinatorMergesEveryJob(t *testing.T) {
 	}
 }
 
-func TestCoordinatorReassignsFromDeadWorker(t *testing.T) {
-	ResetStats()
-	// The live worker is slow enough that the dead one exhausts its
-	// in-place retries and is evicted before the queue runs dry; a
-	// faster sweep would rescue its batch by a tail hedge instead.
-	alive := testWorkerServer("alive", slowExec(3*time.Millisecond))
-	defer alive.Close()
-	dead := testWorkerServer("dead", nil)
-	dead.Close() // every request refused: connection error from the start
-
-	jobs, keys := jobSet(t, 9)
-	sink := newMergeSink()
-	coord, err := NewCoordinator(fastOpts([]string{alive.URL, dead.URL}, sink))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Run(context.Background(), jobs, keys); err != nil {
-		t.Fatalf("sweep must survive one dead worker: %v", err)
-	}
-	if sink.len() != len(jobs) {
-		t.Errorf("merged %d of %d jobs after reassignment", sink.len(), len(jobs))
-	}
-	if sink.workers["dead"] != 0 {
-		t.Errorf("results attributed to the dead worker: %v", sink.workers)
-	}
-	if got := Snapshot().WorkersLost; got == 0 {
-		t.Error("WorkersLost counter not bumped")
-	}
-}
-
+// TestCoordinatorKilledMidSweep: the flaky worker serves its first
+// batch, then dies on its second request with no HTTP response at all —
+// a worker SIGKILLed mid-shard as seen from the coordinator. The sweep
+// must fail naming it, and exactly the batches answered before the
+// death must have merged, once each. The survivor answers at most two
+// batches, so the flaky worker is sure to ask for a second, and none
+// after the death, so the answered set is exact.
 func TestCoordinatorKilledMidSweep(t *testing.T) {
-	// The flaky worker serves its first batch, then drops the
-	// connection on every later request — a worker SIGKILLed mid-shard
-	// as seen from the coordinator. The sweep must still merge every
-	// job exactly once via the survivor.
-	var served atomic32
-	flakyWorker := NewWorker(WorkerOptions{Name: "flaky", Exec: stubExec})
+	var (
+		mu       sync.Mutex
+		dead     bool
+		answered []string
+		served   int
+	)
+	merged := make(chan struct{}, 1)
+	sink := newMergeSink()
+	onResult := func(worker string, job Job, run metrics.Run) {
+		sink.OnResult(worker, job, run)
+		select {
+		case merged <- struct{}{}:
+		default:
+		}
+	}
+	// answer serves one exec request through h and records the keys of
+	// a batch answered 200.
+	answer := func(h http.Handler, rw http.ResponseWriter, req *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code == http.StatusOK {
+			if r, err := DecodeBatchResult(rec.Body.Bytes()); err == nil {
+				for _, jr := range r.Results {
+					answered = append(answered, jr.Key)
+				}
+			}
+		}
+		for k, vs := range rec.Header() {
+			rw.Header()[k] = vs
+		}
+		rw.WriteHeader(rec.Code)
+		rw.Write(rec.Body.Bytes()) //nolint:errcheck // test server
+	}
+
+	flakyWorker := NewWorker(WorkerOptions{Name: "flaky", Exec: stubExec}).Handler()
+	var flakyCalls atomic32
 	flaky := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-		if strings.HasSuffix(req.URL.Path, PathExec) && served.add(1) > 1 {
-			hj, ok := rw.(http.Hijacker)
-			if !ok {
-				t.Error("no hijacker")
-				return
-			}
-			conn, _, err := hj.Hijack()
-			if err == nil {
-				conn.Close() // mid-request death: no HTTP response at all
-			}
+		if !strings.HasSuffix(req.URL.Path, PathExec) {
+			flakyWorker.ServeHTTP(rw, req)
 			return
 		}
-		flakyWorker.Handler().ServeHTTP(rw, req)
+		if flakyCalls.add(1) == 1 {
+			mu.Lock()
+			answer(flakyWorker, rw, req)
+			mu.Unlock()
+			return
+		}
+		mu.Lock()
+		dead = true
+		want := len(answered)
+		mu.Unlock()
+		// Die only once every answered batch has merged.
+		for sink.len() < want {
+			select {
+			case <-merged:
+			case <-req.Context().Done():
+				return
+			}
+		}
+		hj, ok := rw.(http.Hijacker)
+		if !ok {
+			t.Error("no hijacker")
+			return
+		}
+		conn, _, err := hj.Hijack()
+		if err == nil {
+			conn.Close() // mid-request death: no HTTP response at all
+		}
 	}))
 	defer flaky.Close()
-	survivor := testWorkerServer("survivor", nil)
+	survivorWorker := NewWorker(WorkerOptions{Name: "survivor", Exec: stubExec}).Handler()
+	survivor := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		if !strings.HasSuffix(req.URL.Path, PathExec) {
+			survivorWorker.ServeHTTP(rw, req)
+			return
+		}
+		mu.Lock()
+		if dead || served == 2 {
+			mu.Unlock()
+			// Read the body first: the server notices the client hang
+			// up, and cancels the request context, only after that.
+			io.Copy(io.Discard, req.Body) //nolint:errcheck // test server
+			<-req.Context().Done()
+			return
+		}
+		served++
+		answer(survivorWorker, rw, req)
+		mu.Unlock()
+	}))
 	defer survivor.Close()
 
 	jobs, keys := jobSet(t, 12)
-	sink := newMergeSink()
-	coord, err := NewCoordinator(fastOpts([]string{flaky.URL, survivor.URL}, sink))
+	opts := fastOpts([]string{flaky.URL, survivor.URL}, sink)
+	opts.OnResult = onResult
+	coord, err := NewCoordinator(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.Run(context.Background(), jobs, keys); err != nil {
-		t.Fatalf("sweep must survive a worker dying mid-shard: %v", err)
+	err = coord.Run(context.Background(), jobs, keys)
+	if err == nil || !strings.Contains(err.Error(), flaky.URL) {
+		t.Fatalf("sweep with a worker dying mid-shard: err = %v, want a failure naming %s", err, flaky.URL)
 	}
-	if sink.len() != len(jobs) {
-		t.Errorf("merged %d of %d jobs", sink.len(), len(jobs))
+	mu.Lock()
+	defer mu.Unlock()
+	if sink.len() != len(answered) {
+		t.Errorf("merged %d jobs, %d were answered before the death", sink.len(), len(answered))
+	}
+	for _, key := range answered {
+		if _, ok := sink.byKey[key]; !ok {
+			t.Errorf("answered job %s never merged", key)
+		}
 	}
 	if sink.dups != 0 {
 		t.Errorf("%d duplicate merges", sink.dups)
@@ -284,45 +306,6 @@ func TestCoordinatorAllWorkersDead(t *testing.T) {
 	}
 	if sink.len() != 0 {
 		t.Errorf("merged %d jobs from a dead cluster", sink.len())
-	}
-}
-
-func TestCoordinatorRequeuesTransientJobFailures(t *testing.T) {
-	ResetStats()
-	// Every job fails transiently exactly once, then succeeds: the
-	// worker-side deadline-expiry pattern.
-	var mu sync.Mutex
-	failed := map[string]bool{}
-	exec := func(_ context.Context, j core.JobSpec) (metrics.Run, error) {
-		key := fmt.Sprintf("%v", j.Estimator.CIC.Lambda)
-		mu.Lock()
-		first := !failed[key]
-		failed[key] = true
-		mu.Unlock()
-		if first {
-			return metrics.Run{}, runner.Transient(errors.New("deadline"))
-		}
-		return stubExec(context.Background(), j)
-	}
-	w1 := testWorkerServer("w1", exec)
-	defer w1.Close()
-	w2 := testWorkerServer("w2", exec)
-	defer w2.Close()
-
-	jobs, keys := jobSet(t, 8)
-	sink := newMergeSink()
-	coord, err := NewCoordinator(fastOpts([]string{w1.URL, w2.URL}, sink))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Run(context.Background(), jobs, keys); err != nil {
-		t.Fatalf("transient job failures must be retried to success: %v", err)
-	}
-	if sink.len() != len(jobs) {
-		t.Errorf("merged %d of %d jobs", sink.len(), len(jobs))
-	}
-	if got := Snapshot().JobsRequeued; got == 0 {
-		t.Error("JobsRequeued counter not bumped")
 	}
 }
 

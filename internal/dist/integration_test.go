@@ -15,6 +15,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -135,32 +136,30 @@ func planTable4(t *testing.T, sz core.Sizes) *core.Plan {
 	return plan
 }
 
-// distributeTable4 plans and executes the Table 4 sweep against the
-// given worker URLs, injecting every remote result into the local
-// cache and recording manifest jobs, then renders the table locally.
-// It returns the rendered table and the manifest's canonical job
-// bytes (operational fields stripped).
-func distributeTable4(t *testing.T, sz core.Sizes, urls []string, onMerge func(n int)) (string, []byte) {
+// dispatchTable4 plans the Table 4 sweep and executes it against the
+// given worker URLs, injecting every remote result into the local cache
+// and recording it in mb (when non-nil). onMerge (when non-nil) sees
+// the running count of merged jobs.
+func dispatchTable4(t *testing.T, sz core.Sizes, urls []string, mb *manifest.Builder, onMerge func(n int)) error {
 	t.Helper()
 	plan := planTable4(t, sz)
 	if len(plan.Jobs) == 0 {
 		t.Fatal("empty plan: nothing to distribute")
 	}
-	mb := manifest.NewBuilder("disttest", nil)
 	var mu sync.Mutex
 	merged := 0
 	opts := Options{
-		Workers:      urls,
-		BatchSize:    4,
-		Retries:      1,
-		RetryBackoff: 10 * time.Millisecond,
+		Workers:   urls,
+		BatchSize: 4,
 		OnResult: func(worker string, job Job, run metrics.Run) {
 			core.InjectResult(job.Key, run)
-			r := run
-			mb.AddJob(manifest.Job{
-				Key: job.Key, Kind: "timing", Bench: job.Spec.Bench,
-				Worker: worker, Run: &r,
-			})
+			if mb != nil {
+				r := run
+				mb.AddJob(manifest.Job{
+					Key: job.Key, Kind: "timing", Bench: job.Spec.Bench,
+					Worker: worker, Run: &r,
+				})
+			}
 			mu.Lock()
 			merged++
 			n := merged
@@ -174,7 +173,16 @@ func distributeTable4(t *testing.T, sz core.Sizes, urls []string, onMerge func(n
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.Run(context.Background(), plan.Jobs, plan.Keys); err != nil {
+	return coord.Run(context.Background(), plan.Jobs, plan.Keys)
+}
+
+// distributeTable4 runs dispatchTable4 to completion, then renders the
+// table locally. It returns the rendered table and the manifest's
+// canonical job bytes (operational fields stripped).
+func distributeTable4(t *testing.T, sz core.Sizes, urls []string) (string, []byte) {
+	t.Helper()
+	mb := manifest.NewBuilder("disttest", nil)
+	if err := dispatchTable4(t, sz, urls, mb, nil); err != nil {
 		t.Fatalf("distributed run: %v", err)
 	}
 	out, misses := renderTable4(t, sz)
@@ -222,12 +230,12 @@ func TestDistributedByteIdentity(t *testing.T) {
 
 	u1, _ := startWorkerProc(t, "w1")
 	core.ResetResultCache()
-	dist1, jobs1 := distributeTable4(t, sz, []string{u1}, nil)
+	dist1, jobs1 := distributeTable4(t, sz, []string{u1})
 
 	u2, _ := startWorkerProc(t, "w2")
 	u3, _ := startWorkerProc(t, "w3")
 	core.ResetResultCache()
-	dist3, jobs3 := distributeTable4(t, sz, []string{u1, u2, u3}, nil)
+	dist3, jobs3 := distributeTable4(t, sz, []string{u1, u2, u3})
 
 	if dist1 != single {
 		t.Errorf("1-worker distributed output differs from single-process:\n--- single ---\n%s\n--- distributed ---\n%s", single, dist1)
@@ -241,9 +249,10 @@ func TestDistributedByteIdentity(t *testing.T) {
 }
 
 // TestDistributedWorkerSIGKILL is the chaos conformance test: one of
-// three workers is SIGKILLed mid-sweep; the coordinator must reassign
-// its unfinished shard and the final output must still be
-// byte-identical to a single-process run.
+// three workers is SIGKILLed mid-sweep. The sweep must fail naming it,
+// and a resumed sweep against the two survivors — dispatching only
+// what the first leg did not merge — must render output byte-identical
+// to a single-process run.
 func TestDistributedWorkerSIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process sweep in -short mode")
@@ -259,17 +268,21 @@ func TestDistributedWorkerSIGKILL(t *testing.T) {
 
 	var once sync.Once
 	core.ResetResultCache()
-	dist, _ := distributeTable4(t, sz, []string{u1, u2, u3}, func(n int) {
-		// Kill the victim early in the sweep, while its shard is still
-		// mostly unfinished.
+	err := dispatchTable4(t, sz, []string{u1, u2, u3}, nil, func(n int) {
+		// Kill the victim early in the sweep, while most of the queue
+		// is still waiting.
 		if n >= 3 {
 			once.Do(func() {
 				victim.Process.Signal(syscall.SIGKILL) //nolint:errcheck
 			})
 		}
 	})
-	if dist != single {
-		t.Errorf("post-SIGKILL distributed output differs from single-process:\n--- single ---\n%s\n--- distributed ---\n%s", single, dist)
+	if err == nil || !strings.Contains(err.Error(), u1) {
+		t.Fatalf("sweep with a SIGKILLed worker: err = %v, want a failure naming %s", err, u1)
+	}
+	resumed, _ := distributeTable4(t, sz, []string{u2, u3})
+	if resumed != single {
+		t.Errorf("resumed distributed output differs from single-process:\n--- single ---\n%s\n--- resumed ---\n%s", single, resumed)
 	}
 }
 
@@ -311,7 +324,6 @@ func TestDistributedResumeSkipsStored(t *testing.T) {
 	merged := 0
 	coord, err := NewCoordinator(Options{
 		Workers: []string{url}, BatchSize: 4,
-		Retries: 1, RetryBackoff: 10 * time.Millisecond,
 		OnResult: func(_ string, job Job, run metrics.Run) {
 			core.InjectResult(job.Key, run)
 			mu.Lock()
@@ -361,7 +373,6 @@ func TestDistributedResumeSkipsStored(t *testing.T) {
 	// Second leg finishes only the missing work, then aggregate.
 	coord2, err := NewCoordinator(Options{
 		Workers: []string{url}, BatchSize: 4,
-		Retries: 1, RetryBackoff: 10 * time.Millisecond,
 		OnResult: func(_ string, job Job, run metrics.Run) {
 			core.InjectResult(job.Key, run)
 		},

@@ -18,19 +18,8 @@ type liveCounters struct {
 	jobsFailed    atomic.Uint64
 	// Coordinator side.
 	batchesSent    atomic.Uint64
-	batchRetries   atomic.Uint64
 	jobsDispatched atomic.Uint64
 	jobsMerged     atomic.Uint64
-	jobsRequeued   atomic.Uint64
-	workersLost    atomic.Uint64
-	// Coordinator self-healing (breakers, hedging, merge dedup).
-	breakerTrips    atomic.Uint64
-	breakerProbes   atomic.Uint64
-	breakerReadmits atomic.Uint64
-	hedgesIssued    atomic.Uint64
-	hedgeWins       atomic.Uint64
-	hedgeLosses     atomic.Uint64
-	dupsSuppressed  atomic.Uint64
 }
 
 func (c *liveCounters) batchStart(jobs int) {
@@ -66,21 +55,8 @@ type LiveStats struct {
 	JobsFailed    uint64 `json:"jobs_failed"`
 	// Coordinator side.
 	BatchesSent    uint64 `json:"batches_sent"`
-	BatchRetries   uint64 `json:"batch_retries"`
 	JobsDispatched uint64 `json:"jobs_dispatched"`
 	JobsMerged     uint64 `json:"jobs_merged"`
-	JobsRequeued   uint64 `json:"jobs_requeued"`
-	WorkersLost    uint64 `json:"workers_lost"`
-	// Coordinator self-healing: breaker lifecycle events, hedged
-	// dispatches (wins = the hedge's result was used), and duplicate
-	// job merges suppressed by the exactly-once merge guard.
-	BreakerTrips    uint64 `json:"breaker_trips"`
-	BreakerProbes   uint64 `json:"breaker_probes"`
-	BreakerReadmits uint64 `json:"breaker_readmits"`
-	HedgesIssued    uint64 `json:"hedges_issued"`
-	HedgeWins       uint64 `json:"hedge_wins"`
-	HedgeLosses     uint64 `json:"hedge_losses"`
-	DupsSuppressed  uint64 `json:"dups_suppressed"`
 }
 
 // Snapshot returns the current counter values. Safe to call at any
@@ -93,19 +69,8 @@ func Snapshot() LiveStats {
 		JobsOK:         live.jobsOK.Load(),
 		JobsFailed:     live.jobsFailed.Load(),
 		BatchesSent:    live.batchesSent.Load(),
-		BatchRetries:   live.batchRetries.Load(),
 		JobsDispatched: live.jobsDispatched.Load(),
 		JobsMerged:     live.jobsMerged.Load(),
-		JobsRequeued:   live.jobsRequeued.Load(),
-		WorkersLost:    live.workersLost.Load(),
-
-		BreakerTrips:    live.breakerTrips.Load(),
-		BreakerProbes:   live.breakerProbes.Load(),
-		BreakerReadmits: live.breakerReadmits.Load(),
-		HedgesIssued:    live.hedgesIssued.Load(),
-		HedgeWins:       live.hedgeWins.Load(),
-		HedgeLosses:     live.hedgeLosses.Load(),
-		DupsSuppressed:  live.dupsSuppressed.Load(),
 	}
 }
 

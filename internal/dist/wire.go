@@ -22,15 +22,12 @@ import (
 )
 
 // HeaderDigest carries a sha256 content digest of the message body, in
-// both directions. Its job is fault *classification*, not security: a
-// body corrupted in transit (the network chaos suite injects byte
-// flips) would otherwise surface as a malformed-JSON 400 — which the
-// coordinator must treat as deterministic ("the worker understood the
-// batch and said no") — and abort the sweep. With digests, the worker
-// answers corruption with 409 before ever parsing, and the coordinator
-// rejects a corrupted reply as transient, so in-flight damage is
-// retried while genuinely bad batches still fail fast. The digest
-// rides HTTP headers so the v1 wire schema is untouched.
+// both directions. It tells damage in transit from a bad message: the
+// worker answers a request whose body fails its digest with 409 before
+// parsing it, and the coordinator refuses a reply whose body fails its
+// digest, so a byte flip on the wire fails the sweep as corruption and
+// is never merged as a result. The digest rides HTTP headers, outside
+// the wire schema.
 const HeaderDigest = "Bce-Content-Digest"
 
 // ContentDigest returns the hex sha256 of body, the HeaderDigest
@@ -45,13 +42,13 @@ func ContentDigest(body []byte) string {
 // could carry fields the worker would silently drop); coordinators
 // reject replies from a mismatched worker. Bump on any change to the
 // message shapes below or to the semantics of core.JobSpec fields.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // HTTP endpoints served by a worker. The version segment is the schema
 // major version, so incompatible workers 404 instead of misparsing.
 const (
-	PathExec = "/dist/v1/exec"
-	PathPing = "/dist/v1/ping"
+	PathExec = "/dist/v2/exec"
+	PathPing = "/dist/v2/ping"
 )
 
 // maxMessageBytes bounds a single decoded wire message. A full-fidelity
@@ -61,9 +58,8 @@ const (
 const maxMessageBytes = 32 << 20
 
 // ErrSchema marks a schema-version mismatch between coordinator and
-// worker — a deterministic failure (retrying cannot fix version skew),
-// distinguished so callers can report "upgrade the worker" rather than
-// a generic decode error.
+// worker, distinguished so callers can report "upgrade the worker"
+// rather than a generic decode error.
 var ErrSchema = errors.New("dist: wire schema mismatch")
 
 // Job is one timing simulation plus the cache key the coordinator filed
@@ -86,9 +82,6 @@ type Batch struct {
 	// results are keyed by cache key, never by position.
 	Shard int `json:"shard"`
 	Seq   int `json:"seq"`
-	// JobTimeoutMS bounds each job's execution on the worker;
-	// zero means no per-job deadline.
-	JobTimeoutMS int64 `json:"job_timeout_ms,omitempty"`
 	// Jobs is the work. Keys are unique within a batch.
 	Jobs []Job `json:"jobs"`
 }
@@ -101,10 +94,6 @@ type JobResult struct {
 	Run *metrics.Run `json:"run,omitempty"`
 	// Err is the failure description on error.
 	Err string `json:"err,omitempty"`
-	// Transient marks a failed job as retryable (worker-side deadline
-	// expiry, resource pressure) rather than deterministic (validation
-	// or key-recompute mismatch, which would fail identically anywhere).
-	Transient bool `json:"transient,omitempty"`
 }
 
 // BatchResult is a worker's reply to one Batch: a result per job, in
@@ -151,9 +140,6 @@ func DecodeBatch(data []byte) (Batch, error) {
 		}
 		seen[j.Key] = struct{}{}
 	}
-	if b.JobTimeoutMS < 0 {
-		return Batch{}, fmt.Errorf("dist: batch: negative job timeout %d", b.JobTimeoutMS)
-	}
 	return b, nil
 }
 
@@ -179,9 +165,6 @@ func DecodeBatchResult(data []byte) (BatchResult, error) {
 		seen[jr.Key] = struct{}{}
 		if (jr.Run == nil) == (jr.Err == "") {
 			return BatchResult{}, fmt.Errorf("dist: batch result: entry %d: want exactly one of run/err", i)
-		}
-		if jr.Transient && jr.Err == "" {
-			return BatchResult{}, fmt.Errorf("dist: batch result: entry %d: transient without error", i)
 		}
 	}
 	return r, nil

@@ -32,11 +32,10 @@ func sampleJob(bench string, lambda int) Job {
 
 func sampleBatch() Batch {
 	return Batch{
-		Schema:       SchemaVersion,
-		Shard:        1,
-		Seq:          2,
-		JobTimeoutMS: 5000,
-		Jobs:         []Job{sampleJob("gzip", 0), sampleJob("gcc", 25)},
+		Schema: SchemaVersion,
+		Shard:  1,
+		Seq:    2,
+		Jobs:   []Job{sampleJob("gzip", 0), sampleJob("gcc", 25)},
 	}
 }
 
@@ -51,7 +50,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Schema != want.Schema || got.Shard != want.Shard || got.Seq != want.Seq ||
-		got.JobTimeoutMS != want.JobTimeoutMS || len(got.Jobs) != len(want.Jobs) {
+		len(got.Jobs) != len(want.Jobs) {
 		t.Fatalf("round trip mangled batch: got %+v want %+v", got, want)
 	}
 	for i := range want.Jobs {
@@ -76,8 +75,7 @@ func TestBatchResultRoundTrip(t *testing.T) {
 		Worker: "w1",
 		Results: []JobResult{
 			{Key: "k1", Run: &run},
-			{Key: "k2", Err: "deadline", Transient: true},
-			{Key: "k3", Err: "bad spec"},
+			{Key: "k2", Err: "bad spec"},
 		},
 	}
 	data, err := EncodeBatchResult(want)
@@ -88,14 +86,14 @@ func TestBatchResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Worker != "w1" || len(got.Results) != 3 {
+	if got.Worker != "w1" || len(got.Results) != 2 {
 		t.Fatalf("round trip mangled result: %+v", got)
 	}
 	if got.Results[0].Run == nil || got.Results[0].Run.Retired != 1234 {
 		t.Errorf("run payload mangled: %+v", got.Results[0])
 	}
-	if !got.Results[1].Transient || got.Results[2].Transient {
-		t.Errorf("transient flags mangled: %+v", got.Results)
+	if got.Results[1].Run != nil || got.Results[1].Err != "bad spec" {
+		t.Errorf("failure entry mangled: %+v", got.Results[1])
 	}
 }
 
@@ -111,7 +109,6 @@ func TestDecodeBatchRejects(t *testing.T) {
 		{"no jobs", func(b *Batch) { b.Jobs = nil }, "no jobs"},
 		{"empty key", func(b *Batch) { b.Jobs[0].Key = "" }, "empty key"},
 		{"duplicate key", func(b *Batch) { b.Jobs[1].Key = b.Jobs[0].Key }, "duplicate"},
-		{"negative timeout", func(b *Batch) { b.JobTimeoutMS = -1 }, "timeout"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -146,8 +143,8 @@ func TestDecodeBatchStrictness(t *testing.T) {
 	for _, tc := range []struct {
 		name, payload string
 	}{
-		{"unknown field", `{"schema":1,"surprise":true,"jobs":[{"key":"k","spec":{}}]}`},
-		{"trailing garbage", `{"schema":1,"jobs":[{"key":"k","spec":{}}]} {"more":1}`},
+		{"unknown field", `{"schema":2,"surprise":true,"jobs":[{"key":"k","spec":{}}]}`},
+		{"trailing garbage", `{"schema":2,"jobs":[{"key":"k","spec":{}}]} {"more":1}`},
 		{"not json", `hello`},
 		{"wrong type", `[1,2,3]`},
 	} {
@@ -167,11 +164,10 @@ func TestDecodeBatchResultRejects(t *testing.T) {
 		want string
 	}{
 		{"schema", BatchResult{Schema: 99, Results: []JobResult{{Key: "k", Run: &run}}}, "schema"},
-		{"empty key", BatchResult{Schema: 1, Results: []JobResult{{Run: &run}}}, "empty key"},
-		{"duplicate key", BatchResult{Schema: 1, Results: []JobResult{{Key: "k", Run: &run}, {Key: "k", Run: &run}}}, "duplicate"},
-		{"neither run nor err", BatchResult{Schema: 1, Results: []JobResult{{Key: "k"}}}, "exactly one"},
-		{"both run and err", BatchResult{Schema: 1, Results: []JobResult{{Key: "k", Run: &run, Err: "x"}}}, "exactly one"},
-		{"transient success", BatchResult{Schema: 1, Results: []JobResult{{Key: "k", Run: &run, Transient: true}}}, "transient"},
+		{"empty key", BatchResult{Schema: SchemaVersion, Results: []JobResult{{Run: &run}}}, "empty key"},
+		{"duplicate key", BatchResult{Schema: SchemaVersion, Results: []JobResult{{Key: "k", Run: &run}, {Key: "k", Run: &run}}}, "duplicate"},
+		{"neither run nor err", BatchResult{Schema: SchemaVersion, Results: []JobResult{{Key: "k"}}}, "exactly one"},
+		{"both run and err", BatchResult{Schema: SchemaVersion, Results: []JobResult{{Key: "k", Run: &run, Err: "x"}}}, "exactly one"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data, err := EncodeBatchResult(tc.r)
@@ -268,26 +264,9 @@ func TestWorkerRejectsHostileWrapperSpecs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reply: %v\n%s", err, body)
 			}
-			if jr := reply.Results[0]; jr.Run != nil || jr.Transient || !strings.Contains(jr.Err, tc.want) {
-				t.Errorf("hostile spec: want deterministic validation error, got %+v", jr)
+			if jr := reply.Results[0]; jr.Run != nil || !strings.Contains(jr.Err, tc.want) {
+				t.Errorf("hostile spec: want a validation error, got %+v", jr)
 			}
 		})
-	}
-}
-
-// TestBatchResultV1Compat pins the v1 reply bytes: the literal payload
-// a schema-1 worker sends must decode under this build's strict
-// decoder with every field intact.
-func TestBatchResultV1Compat(t *testing.T) {
-	v1 := `{"schema":1,"worker":"old","results":[{"key":"k1","run":{}},{"key":"k2","err":"boom","transient":true}]}`
-	got, err := DecodeBatchResult([]byte(v1))
-	if err != nil {
-		t.Fatalf("v1 payload rejected: %v", err)
-	}
-	if got.Worker != "old" || len(got.Results) != 2 {
-		t.Errorf("v1 payload mangled: %+v", got)
-	}
-	if r := got.Results[1]; r.Key != "k2" || r.Err != "boom" || !r.Transient {
-		t.Errorf("v1 failure entry mangled: %+v", r)
 	}
 }

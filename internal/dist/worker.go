@@ -24,7 +24,8 @@ type WorkerOptions struct {
 	Name string
 	// Exec executes one job; nil means core.ExecJob, which runs the
 	// simulation through the worker's local result cache (and any
-	// attached store), so re-delivered jobs are served, not re-run.
+	// attached store), so a job a resumed sweep sends again is served,
+	// not re-run.
 	Exec func(ctx context.Context, j core.JobSpec) (metrics.Run, error)
 	// Pool bounds batch-internal parallelism; nil means a default pool
 	// at GOMAXPROCS.
@@ -140,11 +141,8 @@ func (w *Worker) serveMetrics(rw http.ResponseWriter, _ *http.Request) {
 		map[string]uint64{"hits": hits, "misses": misses})
 }
 
-// replyError answers a request with a digest-stamped error body. The
-// digest is what lets the coordinator classify the status: a 4xx whose
-// digest verifies was really produced by this handler (deterministic),
-// while a bare 4xx could be the HTTP machinery rejecting a request the
-// network mangled (retryable).
+// replyError answers a request with a digest-stamped error body, so
+// every body this handler writes can be checked against its digest.
 func replyError(rw http.ResponseWriter, status int, msg string) {
 	body := msg + "\n"
 	rw.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -174,9 +172,8 @@ func (w *Worker) handleExec(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	// Verify the coordinator's content digest before parsing anything:
-	// a mismatch means the body was damaged in transit, which is the
-	// network's fault, not the batch's — answered 409 so the
-	// coordinator retries instead of aborting on a "malformed" batch.
+	// a mismatch means the body was damaged in transit. Answering 409
+	// makes the failed sweep report corruption, not a malformed batch.
 	if want := req.Header.Get(HeaderDigest); want != "" && want != ContentDigest(body) {
 		w.log.WarnContext(ctx, "batch corrupted in transit", "worker", w.name, "bytes", len(body))
 		replyError(rw, http.StatusConflict, "dist: batch corrupted in transit (content digest mismatch)")
@@ -184,8 +181,6 @@ func (w *Worker) handleExec(rw http.ResponseWriter, req *http.Request) {
 	}
 	batch, err := DecodeBatch(body)
 	if err != nil {
-		// A malformed or version-skewed batch is deterministic: the
-		// coordinator must not retry it here.
 		w.log.WarnContext(ctx, "rejected batch", "worker", w.name, "err", err)
 		replyError(rw, http.StatusBadRequest, err.Error())
 		return
@@ -200,7 +195,7 @@ func (w *Worker) handleExec(rw http.ResponseWriter, req *http.Request) {
 	// coordinator hangs up, cancelling req.Context()).
 	results, err := runner.Map(ctx, w.pool, batch.Jobs,
 		func(ctx context.Context, _ int, job Job) (JobResult, error) {
-			return w.runJob(ctx, job, batch.JobTimeoutMS), nil
+			return w.runJob(ctx, job), nil
 		})
 	if err != nil {
 		live.batchEnd(false)
@@ -226,11 +221,11 @@ func (w *Worker) handleExec(rw http.ResponseWriter, req *http.Request) {
 }
 
 // runJob executes one job and folds any failure into the JobResult.
-func (w *Worker) runJob(ctx context.Context, job Job, timeoutMS int64) JobResult {
+func (w *Worker) runJob(ctx context.Context, job Job) JobResult {
 	// Recompute the cache key from the spec. A mismatch means this
 	// build derives different identities than the coordinator's —
 	// merging the result would corrupt byte-reproducibility, so the job
-	// fails deterministically instead.
+	// fails instead.
 	key, err := job.Spec.Key()
 	if err != nil {
 		live.jobDone(false)
@@ -241,17 +236,11 @@ func (w *Worker) runJob(ctx context.Context, job Job, timeoutMS int64) JobResult
 		return JobResult{Key: job.Key, Err: fmt.Sprintf(
 			"cache-key mismatch: coordinator sent %q, this worker derives %q (version skew?)", job.Key, key)}
 	}
-	if timeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(timeoutMS)*time.Millisecond)
-		defer cancel()
-	}
 	run, err := w.exec(ctx, job.Spec)
 	if err != nil {
 		live.jobDone(false)
-		w.log.DebugContext(ctx, "job failed",
-			"worker", w.name, "key", job.Key, "transient", runner.IsTransient(err), "err", err)
-		return JobResult{Key: job.Key, Err: err.Error(), Transient: runner.IsTransient(err)}
+		w.log.DebugContext(ctx, "job failed", "worker", w.name, "key", job.Key, "err", err)
+		return JobResult{Key: job.Key, Err: err.Error()}
 	}
 	live.jobDone(true)
 	return JobResult{Key: job.Key, Run: &run}

@@ -12,7 +12,6 @@ import (
 
 	"bce/internal/core"
 	"bce/internal/metrics"
-	"bce/internal/runner"
 )
 
 // stubExec returns a canned run without simulating, keyed by bench so
@@ -81,21 +80,18 @@ func TestWorkerRejectsKeyMismatch(t *testing.T) {
 	}
 	jr := reply.Results[0]
 	if jr.Run != nil || !strings.Contains(jr.Err, "mismatch") {
-		t.Errorf("tampered key: want deterministic mismatch error, got %+v", jr)
-	}
-	if jr.Transient {
-		t.Error("key mismatch must not be retryable: it fails identically everywhere")
+		t.Errorf("tampered key: want a mismatch error, got %+v", jr)
 	}
 }
 
+// TestWorkerClassifiesFailures: a failed job carries its own error,
+// and a failure fails only that job, not its batch.
 func TestWorkerClassifiesFailures(t *testing.T) {
 	exec := func(_ context.Context, j core.JobSpec) (metrics.Run, error) {
-		switch j.Bench {
-		case "gzip":
-			return metrics.Run{}, runner.Transient(errors.New("flaky disk"))
-		default:
+		if j.Bench == "gcc" {
 			return metrics.Run{}, errors.New("bad simulation")
 		}
+		return stubExec(context.Background(), j)
 	}
 	srv := httptest.NewServer(NewWorker(WorkerOptions{Exec: exec}).Handler())
 	defer srv.Close()
@@ -113,35 +109,11 @@ func TestWorkerClassifiesFailures(t *testing.T) {
 		byBench[sampleBatch().Jobs[i].Spec.Bench] = jr
 	}
 	// Results come back in batch order (runner.Map preserves order).
-	if jr := byBench["gzip"]; !jr.Transient || jr.Err == "" {
-		t.Errorf("transient failure not flagged: %+v", jr)
+	if jr := byBench["gzip"]; jr.Run == nil || jr.Err != "" {
+		t.Errorf("healthy job failed alongside a broken one: %+v", jr)
 	}
-	if jr := byBench["gcc"]; jr.Transient || jr.Err == "" {
-		t.Errorf("deterministic failure misflagged: %+v", jr)
-	}
-}
-
-func TestWorkerJobTimeoutIsTransient(t *testing.T) {
-	exec := func(ctx context.Context, _ core.JobSpec) (metrics.Run, error) {
-		<-ctx.Done() // wedged simulation: only the deadline frees it
-		return metrics.Run{}, ctx.Err()
-	}
-	srv := httptest.NewServer(NewWorker(WorkerOptions{Exec: exec}).Handler())
-	defer srv.Close()
-
-	b := sampleBatch()
-	b.Jobs = b.Jobs[:1]
-	b.JobTimeoutMS = 10
-	resp, body := postBatch(t, srv.URL, b)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("exec: HTTP %d: %s", resp.StatusCode, body)
-	}
-	reply, err := DecodeBatchResult(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jr := reply.Results[0]; !jr.Transient {
-		t.Errorf("deadline expiry must be transient (retryable elsewhere): %+v", jr)
+	if jr := byBench["gcc"]; jr.Run != nil || jr.Err != "bad simulation" {
+		t.Errorf("failed job does not carry its error: %+v", jr)
 	}
 }
 

@@ -5,11 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"bce/internal/pipeline"
 	"bce/internal/runner"
@@ -54,49 +52,12 @@ func TestChaosWatchdogThroughSweep(t *testing.T) {
 	}
 }
 
-// Injected transient failures must be retried to success and injected
-// hangs reclaimed by the per-job deadline — the sweep completes with
-// correct results either way.
-func TestChaosRetryAndDeadline(t *testing.T) {
-	failer := NewInjector(2)
-	hanger := NewInjector(1)
-	p := runner.New(runner.Options{
-		Workers:      2,
-		Retries:      3,
-		RetryBackoff: time.Millisecond,
-		JobTimeout:   50 * time.Millisecond,
-	})
-	out, err := runner.Map(context.Background(), p, []int{10, 20},
-		func(ctx context.Context, i int, item int) (int, error) {
-			if item == 10 {
-				if err := failer.Fail(errors.New("injected I/O error")); err != nil {
-					return 0, runner.Transient(err)
-				}
-			} else {
-				hanger.Hang(ctx.Done())
-				if ctx.Err() != nil {
-					return 0, ctx.Err()
-				}
-			}
-			return item * 2, nil
-		})
-	if err != nil {
-		t.Fatalf("chaos sweep failed: %v", err)
-	}
-	if out[0] != 20 || out[1] != 40 {
-		t.Errorf("out = %v, want [20 40]", out)
-	}
-	if failer.Remaining() != 0 || hanger.Remaining() != 0 {
-		t.Errorf("injectors not exhausted: fail=%d hang=%d", failer.Remaining(), hanger.Remaining())
-	}
-}
-
 // An injected panic must surface as a *PanicError naming the job, and
-// must not be retried.
+// the job must run once.
 func TestChaosPanicInjection(t *testing.T) {
 	boom := NewInjector(1)
 	attempts := 0
-	p := runner.New(runner.Options{Workers: 1, Retries: 5})
+	p := runner.New(runner.Options{Workers: 1})
 	_, err := runner.Map(context.Background(), p, []string{"victim"},
 		func(ctx context.Context, i int, item string) (int, error) {
 			attempts++
@@ -233,8 +194,8 @@ func TestChaosStoreCorruption(t *testing.T) {
 	}
 }
 
-// FlipReader must behave as documented on plain
-// byte streams (unit sanity for the harness itself).
+// FlipReader and Injector must behave as documented (unit sanity for
+// the harness itself).
 func TestHarnessReaders(t *testing.T) {
 	src := []byte{0, 1, 2, 3, 4, 5, 6, 7}
 	out, err := io.ReadAll(NewFlipReader(bytes.NewReader(src), 3, 0xFF))
@@ -251,13 +212,13 @@ func TestHarnessReaders(t *testing.T) {
 	}
 
 	inj := NewInjector(2)
-	if err := inj.Fail(fmt.Errorf("x")); err == nil {
-		t.Error("armed injector did not fail")
+	if !inj.Trip() || !inj.Trip() {
+		t.Error("armed injector did not trip twice")
 	}
-	if !inj.Trip() {
-		t.Error("second trip missing")
+	if inj.Remaining() != 0 {
+		t.Errorf("Remaining = %d after two trips, want 0", inj.Remaining())
 	}
-	if inj.Trip() || inj.Fail(fmt.Errorf("x")) != nil {
+	if inj.Trip() {
 		t.Error("exhausted injector still tripping")
 	}
 }

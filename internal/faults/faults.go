@@ -1,10 +1,10 @@
 // Package faults is the fault-injection harness behind the chaos test
 // suite: deliberately broken io.Readers, cache-store corruptors, and
-// countdown injectors for induced failures, panics and hangs. The
-// production packages never import it; tests use it to prove the
-// robustness machinery — store quarantine, wire content digests,
-// bounded retry, per-job deadlines, the pipeline watchdog — actually
-// degrades gracefully instead of merely existing.
+// countdown injectors for induced faults and panics. The production
+// packages never import it; tests use it to prove the robustness
+// machinery — store quarantine, wire content digests, panic recovery,
+// the pipeline watchdog — actually catches the fault instead of merely
+// existing.
 package faults
 
 import (
@@ -85,8 +85,8 @@ func CorruptDirEntry(dir string) (string, error) {
 }
 
 // Injector trips a fault on each of its first N uses and then stands
-// down, modeling transient environmental failures that succeed on
-// retry. It is safe for concurrent use.
+// down, so a test injects a fixed number of faults. It is safe for
+// concurrent use.
 type Injector struct {
 	left atomic.Int64
 }
@@ -115,26 +115,9 @@ func (i *Injector) Trip() bool {
 // Remaining returns the number of trips still armed.
 func (i *Injector) Remaining() int { return int(i.left.Load()) }
 
-// Fail returns err on each of the injector's armed trips and nil
-// afterwards.
-func (i *Injector) Fail(err error) error {
-	if i.Trip() {
-		return err
-	}
-	return nil
-}
-
 // Panic panics with value on each armed trip.
 func (i *Injector) Panic(value any) {
 	if i.Trip() {
 		panic(value)
-	}
-}
-
-// Hang blocks until done is closed (or cancelled) on each armed trip,
-// modeling a wedged job that only a per-job deadline can reclaim.
-func (i *Injector) Hang(done <-chan struct{}) {
-	if i.Trip() {
-		<-done
 	}
 }

@@ -71,7 +71,7 @@ type Manifest struct {
 	// Jobs lists every simulation the sweep executed, sorted by key.
 	Jobs []Job `json:"jobs,omitempty"`
 	// Runner snapshots the process-wide execution counters at the end
-	// of the run (retries, quarantines, cached jobs).
+	// of the run (job outcomes, quarantines, cached jobs).
 	Runner *runner.LiveStats `json:"runner,omitempty"`
 	// Cache is the timing-result cache tally for the invocation.
 	Cache *CacheStats `json:"cache,omitempty"`

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestJournalRoundTrip(t *testing.T) {
@@ -290,108 +289,6 @@ func TestTieredStore(t *testing.T) {
 	}
 	if Tiered(front) == nil {
 		t.Error("Tiered of one store should be that store")
-	}
-}
-
-// Transient failures retry up to the bound and can succeed; the retry
-// counter advances.
-func TestRetryTransient(t *testing.T) {
-	before := LiveSnapshot().JobsRetried
-	attempts := 0
-	p := New(Options{Workers: 1, Retries: 3, RetryBackoff: time.Microsecond})
-	out, err := Map(context.Background(), p, []int{7}, func(ctx context.Context, i, item int) (int, error) {
-		attempts++
-		if attempts < 3 {
-			return 0, Transient(fmt.Errorf("flaky attempt %d", attempts))
-		}
-		return item * 2, nil
-	})
-	if err != nil {
-		t.Fatalf("retryable job failed: %v", err)
-	}
-	if attempts != 3 {
-		t.Errorf("attempts = %d, want 3", attempts)
-	}
-	if out[0] != 14 {
-		t.Errorf("out = %d, want 14", out[0])
-	}
-	if got := LiveSnapshot().JobsRetried - before; got != 2 {
-		t.Errorf("JobsRetried advanced by %d, want 2", got)
-	}
-}
-
-// Retries are bounded: a job that never stops failing transiently
-// reports its last error after Retries+1 attempts.
-func TestRetryExhaustion(t *testing.T) {
-	attempts := 0
-	p := New(Options{Workers: 1, Retries: 2})
-	_, err := Map(context.Background(), p, []int{1}, func(ctx context.Context, i, item int) (int, error) {
-		attempts++
-		return 0, Transient(errors.New("always flaky"))
-	})
-	if err == nil {
-		t.Fatal("want error after exhausted retries")
-	}
-	if attempts != 3 {
-		t.Errorf("attempts = %d, want 3 (1 + 2 retries)", attempts)
-	}
-	if !IsTransient(err) {
-		t.Error("exhausted error lost its transient classification")
-	}
-}
-
-// Deterministic errors and panics must not burn retries — they would
-// fail identically every time.
-func TestNoRetryDeterministic(t *testing.T) {
-	attempts := 0
-	p := New(Options{Workers: 1, Retries: 5})
-	_, err := Map(context.Background(), p, []int{1}, func(ctx context.Context, i, item int) (int, error) {
-		attempts++
-		return 0, errors.New("deterministic failure")
-	})
-	if err == nil || attempts != 1 {
-		t.Errorf("deterministic error: attempts = %d (err %v), want 1", attempts, err)
-	}
-
-	attempts = 0
-	_, err = Map(context.Background(), p, []int{1}, func(ctx context.Context, i, item int) (int, error) {
-		attempts++
-		panic("boom")
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) || attempts != 1 {
-		t.Errorf("panic: attempts = %d (err %v), want 1 *PanicError", attempts, err)
-	}
-}
-
-// JobTimeout bounds each attempt; a job that honors its context
-// returns the deadline error, which is transient and so retryable.
-func TestJobTimeout(t *testing.T) {
-	slow := true
-	p := New(Options{Workers: 1, JobTimeout: 10 * time.Millisecond, Retries: 1})
-	out, err := Map(context.Background(), p, []int{1}, func(ctx context.Context, i, item int) (int, error) {
-		if slow {
-			slow = false
-			<-ctx.Done() // first attempt hangs until the deadline
-			return 0, ctx.Err()
-		}
-		return item, nil
-	})
-	if err != nil {
-		t.Fatalf("timed-out attempt did not retry: %v", err)
-	}
-	if out[0] != 1 {
-		t.Errorf("out = %d", out[0])
-	}
-
-	// Without retries the deadline surfaces.
-	p = New(Options{Workers: 1, JobTimeout: 5 * time.Millisecond})
-	_, err = Map(context.Background(), p, []int{1}, func(ctx context.Context, i, item int) (int, error) {
-		<-ctx.Done()
-		return 0, ctx.Err()
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("err = %v, want DeadlineExceeded", err)
 	}
 }
 

@@ -20,7 +20,6 @@ package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -55,22 +54,6 @@ type Options struct {
 	// serialized (never concurrent) but may come from any worker
 	// goroutine.
 	Progress func(Progress)
-	// JobTimeout bounds each job attempt with context.WithTimeout; zero
-	// means no per-job deadline. A timed-out attempt fails with a
-	// context.DeadlineExceeded-wrapping error and counts as transient
-	// (the deadline was per-attempt, not per-sweep), so Retries applies.
-	JobTimeout time.Duration
-	// Retries is how many times a failed job attempt is re-run before
-	// its error is reported, but only for errors classified transient
-	// (IsTransient): explicit Transient wrappers and per-job deadline
-	// expiries. Deterministic failures and panics are never retried —
-	// every simulation here is a pure function of its configuration, so
-	// a real failure fails identically on every attempt.
-	Retries int
-	// RetryBackoff is the sleep before the first retry; each subsequent
-	// retry doubles it. Zero means retries are immediate. The sleep
-	// aborts early if the sweep is cancelled.
-	RetryBackoff time.Duration
 }
 
 // Pool is a bounded parallel executor. Construct with New; a nil Pool
@@ -78,9 +61,6 @@ type Options struct {
 type Pool struct {
 	workers  int
 	progress func(Progress)
-	timeout  time.Duration
-	retries  int
-	backoff  time.Duration
 }
 
 // New returns a pool with the given options.
@@ -92,9 +72,6 @@ func New(opts Options) *Pool {
 	return &Pool{
 		workers:  w,
 		progress: opts.Progress,
-		timeout:  opts.JobTimeout,
-		retries:  opts.Retries,
-		backoff:  opts.RetryBackoff,
 	}
 }
 
@@ -143,35 +120,6 @@ func (e *PanicError) Unwrap() error {
 	return nil
 }
 
-// transientError marks an error as worth retrying.
-type transientError struct{ err error }
-
-func (t *transientError) Error() string { return t.err.Error() }
-func (t *transientError) Unwrap() error { return t.err }
-
-// Transient wraps err so IsTransient reports true, telling the pool's
-// bounded-retry machinery the failure is environmental (a flaky
-// filesystem, an injected fault, resource exhaustion) rather than
-// deterministic. A nil err returns nil.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err is retryable: wrapped with
-// Transient, or a per-attempt deadline expiry (context.DeadlineExceeded
-// from a JobTimeout). Sweep cancellation (context.Canceled) is never
-// transient — it means stop, not try again.
-func IsTransient(err error) bool {
-	var t *transientError
-	if errors.As(err, &t) {
-		return true
-	}
-	return errors.Is(err, context.DeadlineExceeded)
-}
-
 // Map runs fn over every item on the pool and returns the results in
 // item order (never completion order), which keeps downstream
 // aggregation deterministic under any worker count. The first job
@@ -212,7 +160,7 @@ func Map[T, R any](ctx context.Context, p *Pool, items []T, fn func(ctx context.
 				}
 				flag := newJobFlag()
 				live.jobStart()
-				r, err := attemptJob(p, context.WithValue(ctx, jobFlagKey{}, flag), i, items[i], fn)
+				r, err := runJob(context.WithValue(ctx, jobFlagKey{}, flag), i, items[i], fn)
 				live.jobEnd(err, flag.cached())
 				mu.Lock()
 				if err != nil {
@@ -259,48 +207,8 @@ feed:
 	return out, ctx.Err()
 }
 
-// attemptJob executes one job under the pool's hardening policy:
-// each attempt runs with the per-job deadline (if any), and transient
-// failures are retried up to the configured bound with doubling
-// backoff. Panics are never retried — a panic is a bug or a structured
-// abort (watchdog), and both reproduce deterministically.
-func attemptJob[T, R any](p *Pool, ctx context.Context, i int, item T, fn func(ctx context.Context, i int, item T) (R, error)) (R, error) {
-	var retries int
-	var backoff time.Duration
-	var timeout time.Duration
-	if p != nil {
-		retries, backoff, timeout = p.retries, p.backoff, p.timeout
-	}
-	var r R
-	var err error
-	for attempt := 0; ; attempt++ {
-		r, err = runJob(ctx, i, item, timeout, fn)
-		if err == nil || attempt >= retries || !IsTransient(err) || ctx.Err() != nil {
-			return r, err
-		}
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			return r, err
-		}
-		live.jobRetry()
-		if backoff > 0 {
-			select {
-			case <-time.After(Backoff{Initial: backoff}.Delay(attempt)):
-			case <-ctx.Done():
-				return r, err
-			}
-		}
-	}
-}
-
-// runJob executes one job attempt with panic recovery and an optional
-// per-attempt deadline.
-func runJob[T, R any](ctx context.Context, i int, item T, timeout time.Duration, fn func(ctx context.Context, i int, item T) (R, error)) (r R, err error) {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
+// runJob executes one job with panic recovery.
+func runJob[T, R any](ctx context.Context, i int, item T, fn func(ctx context.Context, i int, item T) (R, error)) (r R, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &PanicError{
@@ -311,13 +219,7 @@ func runJob[T, R any](ctx context.Context, i int, item T, timeout time.Duration,
 			}
 		}
 	}()
-	r, err = fn(ctx, i, item)
-	// A job that ignored its context but raced the deadline reports
-	// the deadline, not a half-made result's incidental error.
-	if err != nil && ctx.Err() != nil && !errors.Is(err, ctx.Err()) {
-		err = fmt.Errorf("%w (job error: %v)", ctx.Err(), err)
-	}
-	return r, err
+	return fn(ctx, i, item)
 }
 
 // KeyOf canonicalizes the given configuration parts into a single

@@ -50,9 +50,7 @@ type LiveStats struct {
 	JobsDone    uint64 `json:"jobs_done"`
 	JobsFailed  uint64 `json:"jobs_failed"`
 	JobsCached  uint64 `json:"jobs_cached"`
-	// JobsRetried counts transient-failure retries; StoreQuarantined
-	// counts cache entries moved aside as undecodable.
-	JobsRetried      uint64 `json:"jobs_retried"`
+	// StoreQuarantined counts cache entries moved aside as undecodable.
 	StoreQuarantined uint64 `json:"store_quarantined"`
 	// BusyWorkers is the number of workers executing a job right now;
 	// Workers is the most recent sweep's worker bound.
@@ -75,15 +73,12 @@ type liveCounters struct {
 	jobsDone         atomic.Uint64
 	jobsFailed       atomic.Uint64
 	jobsCached       atomic.Uint64
-	jobsRetried      atomic.Uint64
 	storeQuarantined atomic.Uint64
 	busyWorkers      atomic.Int64
 	workers          atomic.Int64
 	sweepDone        atomic.Int64
 	sweepTotal       atomic.Int64
 }
-
-func (l *liveCounters) jobRetry() { l.jobsRetried.Add(1) }
 
 func (l *liveCounters) quarantine() { l.storeQuarantined.Add(1) }
 
@@ -126,7 +121,6 @@ func LiveSnapshot() LiveStats {
 		JobsDone:         done,
 		JobsFailed:       failed,
 		JobsCached:       cached,
-		JobsRetried:      live.jobsRetried.Load(),
 		StoreQuarantined: live.storeQuarantined.Load(),
 		BusyWorkers:      live.busyWorkers.Load(),
 		Workers:          live.workers.Load(),

@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -85,7 +84,7 @@ func TestMarkCachedOutsideJob(t *testing.T) {
 
 // TestLiveSnapshotScrapedMidSweep is the debug-endpoint race audit:
 // scraper goroutines hammer LiveSnapshot (and JSON-encode it, exactly
-// as the expvar endpoint does) while a sweep with retries and mixed
+// as the expvar endpoint does) while a sweep with mixed
 // cache classification runs. Under -race this proves the snapshot path
 // is synchronization-clean; in any build it checks the invariants a
 // torn snapshot would break.
@@ -120,19 +119,13 @@ func TestLiveSnapshotScrapedMidSweep(t *testing.T) {
 		}()
 	}
 
-	p := New(Options{Workers: 4, Retries: 2, RetryBackoff: time.Microsecond})
-	var once sync.Once
+	p := New(Options{Workers: 4})
 	_, err := Map(context.Background(), p, make([]int, 64), func(ctx context.Context, i int, _ int) (int, error) {
 		switch i % 3 {
 		case 0:
 			MarkCached(ctx)
 		case 1:
 			MarkComputed(ctx)
-		}
-		var flaked bool
-		once.Do(func() { flaked = true })
-		if flaked {
-			return 0, Transient(errors.New("scrape-audit flake"))
 		}
 		return i, nil
 	})

@@ -75,9 +75,10 @@ func (h *Histogram) Mean() float64 {
 // Quantile returns an upper bound on the q-quantile (q in [0, 1]) of
 // the observed values: the upper edge of the first log2 bucket whose
 // cumulative count reaches ⌈q·count⌉. The log2 geometry makes this at
-// most 2× the true quantile — adequate for adaptive thresholds like
-// "hedge past p95 latency", where the answer steers a policy rather
-// than a report. Returns 0 when the histogram is empty.
+// most 2× the true quantile — adequate for the p50/p95/p99 gauges
+// Snapshot feeds the Prometheus page, which show where latency sits
+// rather than measure it exactly. Returns 0 when the histogram is
+// empty.
 func (h *Histogram) Quantile(q float64) uint64 {
 	if h.count == 0 {
 		return 0
